@@ -201,8 +201,8 @@ fi
 echo "CI_CRASH_RECOVERY_OK"
 
 echo "== sanitizers =="
-scripts/check_asan.sh
-scripts/check_tsan.sh
-scripts/check_ubsan.sh
+scripts/check_sanitizer.sh address
+scripts/check_sanitizer.sh thread
+scripts/check_sanitizer.sh undefined
 
 echo "CI_PASSED"

@@ -33,6 +33,24 @@ void Restore(const std::vector<nn::Var>& params,
   for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
 }
 
+/// Runs `fn(qb, qe, arena)` over [0, n) in fixed 32-query slices on the
+/// thread pool, resetting the per-thread arena after each. Fixed slices
+/// bound the arena high-water mark and give deterministic work boundaries
+/// (each query's rows depend only on that query, so slicing cannot change
+/// any result).
+template <typename Fn>
+void ForEachSlice(size_t n, const Fn& fn) {
+  constexpr size_t kSliceQueries = 32;
+  const size_t num_slices = (n + kSliceQueries - 1) / kSliceQueries;
+  ParallelFor(0, num_slices, 1, [&](size_t sb, size_t se) {
+    nn::Arena& arena = nn::ThreadLocalArena();
+    for (size_t s = sb; s < se; ++s) {
+      fn(s * kSliceQueries, std::min(n, (s + 1) * kSliceQueries), &arena);
+      arena.Reset();
+    }
+  });
+}
+
 }  // namespace
 
 std::vector<nn::Var> CnnModel::Params() const {
@@ -50,16 +68,8 @@ size_t CnnModel::num_parameters() const {
   return total;
 }
 
-nn::Var CnnModel::Forward(const std::vector<int>& ids, bool training,
-                          Rng* rng) const {
-  // Pad to the largest window so every conv has at least one position.
-  std::vector<int> padded = ids;
-  const int max_width = *std::max_element(config_.widths.begin(),
-                                          config_.widths.end());
-  while (padded.size() < static_cast<size_t>(max_width)) {
-    padded.push_back(-1);
-  }
-  nn::Var emb = embedding_.Lookup(padded);
+nn::Var CnnModel::Forward(const std::vector<int>& ids, Rng* rng) const {
+  nn::Var emb = embedding_.Lookup(ids);
   std::vector<nn::Var> pooled;
   pooled.reserve(config_.widths.size());
   for (size_t w = 0; w < config_.widths.size(); ++w) {
@@ -68,30 +78,137 @@ nn::Var CnnModel::Forward(const std::vector<int>& ids, bool training,
     pooled.push_back(nn::MaxOverTime(activations));
   }
   nn::Var features = nn::ConcatCols(pooled);
-  features = nn::Dropout(features, config_.dropout, training, rng);
+  features = nn::Dropout(features, config_.dropout, /*training=*/true, rng);
   return head_.Apply(features);
+}
+
+std::vector<std::vector<int>> CnnModel::EncodePadded(
+    std::span<const std::string> statements) const {
+  auto encoded = vocab_.EncodeAll(statements, MaxLen());
+  // Pad to the largest window so every conv has at least one position.
+  const size_t max_width = static_cast<size_t>(
+      *std::max_element(config_.widths.begin(), config_.widths.end()));
+  for (auto& ids : encoded) {
+    if (ids.size() < max_width) ids.resize(max_width, -1);
+  }
+  return encoded;
+}
+
+const float* CnnModel::SliceLogits(
+    const std::vector<std::vector<int>>& encoded, size_t qb, size_t qe,
+    bool int8, nn::Arena* arena) const {
+  const int slice = static_cast<int>(qe - qb);
+  const int d = config_.embed_dim;
+  const int kernels = config_.kernels_per_width;
+  const int feat_dim = static_cast<int>(config_.widths.size()) * kernels;
+  auto alloc_bytes = [arena](size_t bytes) {
+    return reinterpret_cast<uint8_t*>(arena->Alloc((bytes + 3) / 4));
+  };
+
+  // Embed every query in the slice into one contiguous buffer (u8 rows on
+  // the int8 tier).
+  thread_local std::vector<size_t> row_offset;
+  row_offset.assign(slice + 1, 0);
+  for (size_t q = qb; q < qe; ++q) {
+    row_offset[q - qb + 1] = row_offset[q - qb] + encoded[q].size();
+  }
+  const size_t total_tokens = row_offset[slice];
+  float* emb = int8 ? nullptr : arena->Alloc(total_tokens * d);
+  uint8_t* qemb = int8 ? alloc_bytes(total_tokens * d) : nullptr;
+  for (size_t q = qb; q < qe; ++q) {
+    const auto& ids = encoded[q];
+    const int t = static_cast<int>(ids.size());
+    if (int8) {
+      nn::infer::Int8GatherRows(quant_.qtable.data(), d, ids.data(), t,
+                                qemb + row_offset[q - qb] * d, d);
+    } else {
+      nn::infer::GatherRows(embedding_.table->value.data(), d, ids.data(), t,
+                            emb + row_offset[q - qb] * d);
+    }
+  }
+
+  float* features = arena->Alloc(static_cast<size_t>(slice) * feat_dim);
+  for (size_t w = 0; w < config_.widths.size(); ++w) {
+    const int width = config_.widths[w];
+    size_t total_rows = 0;
+    for (size_t q = qb; q < qe; ++q) {
+      total_rows += encoded[q].size() - width + 1;
+    }
+    // Stack all queries' unfold windows into one tall matrix so the
+    // convolution is a single matmul for the whole slice: fp32, or u8
+    // windows through the quantized conv (dequantized against the fp32
+    // conv bias).
+    float* conv_out = arena->Alloc(total_rows * kernels);
+    if (int8) {
+      const auto& W = quant_.convs[w];
+      const int stride = 4 * W.k4;
+      uint8_t* windows = alloc_bytes(total_rows * stride);
+      for (size_t q = qb, row = 0; q < qe; ++q) {
+        const int t = static_cast<int>(encoded[q].size());
+        nn::infer::Int8Unfold(qemb + row_offset[q - qb] * d, t, d, width,
+                              windows + row * stride, stride);
+        row += static_cast<size_t>(t - width + 1);
+      }
+      int32_t* acc = reinterpret_cast<int32_t*>(
+          arena->Alloc(total_rows * static_cast<size_t>(W.n_pad)));
+      nn::infer::Int8MatMul(windows, stride, W, quant_.emb_scale,
+                            convs_[w].bias->value.data(),
+                            static_cast<int>(total_rows), acc, conv_out);
+    } else {
+      const int wd = width * d;
+      float* windows = arena->Alloc(total_rows * wd);
+      for (size_t q = qb, row = 0; q < qe; ++q) {
+        const int t = static_cast<int>(encoded[q].size());
+        nn::infer::Unfold(emb + row_offset[q - qb] * d, t, d, width,
+                          windows + row * wd);
+        row += static_cast<size_t>(t - width + 1);
+      }
+      nn::infer::MatMul(windows, convs_[w].weight->value.data(), conv_out,
+                        static_cast<int>(total_rows), wd, kernels);
+      nn::infer::BiasAdd(conv_out, convs_[w].bias->value.data(),
+                         static_cast<int>(total_rows), kernels);
+    }
+    nn::simd::Relu(conv_out, total_rows * kernels);
+    // Max-over-time per query lands directly in this width's feature
+    // columns, so the concat of pooled widths needs no extra copy.
+    for (size_t q = qb, row = 0; q < qe; ++q) {
+      const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
+      nn::infer::MaxOverTime(
+          conv_out, static_cast<int>(row), static_cast<int>(row) + rows_q,
+          kernels,
+          features + (q - qb) * static_cast<size_t>(feat_dim) +
+              w * static_cast<size_t>(kernels));
+      row += static_cast<size_t>(rows_q);
+    }
+  }
+
+  float* logits = arena->Alloc(static_cast<size_t>(slice) * outputs_);
+  nn::infer::MatMul(features, head_.weight->value.data(), logits, slice,
+                    feat_dim, outputs_);
+  nn::infer::BiasAdd(logits, head_.bias->value.data(), slice, outputs_);
+  return logits;
 }
 
 double CnnModel::ValidLoss(const Dataset& valid) const {
   if (valid.size() == 0) return 0.0;
-  const auto encoded = vocab_.EncodeAll(valid.statements, MaxLen());
-  // Forward-only evaluation parallelizes per example; losses land in slots
-  // and sum in example order for bit-identical results at any thread count.
+  // The serving forward on the fp32 weights being trained, whatever tier
+  // serves: a re-fit must not be scored by the previous fit's int8 tier.
+  // Losses land in per-example slots and sum in example order for
+  // bit-identical results at any thread count.
+  const auto encoded = EncodePadded(valid.statements);
   std::vector<double> losses(valid.size(), 0.0);
-  ParallelFor(0, valid.size(), 8, [&](size_t b, size_t e) {
-    Rng unused(0);
-    for (size_t i = b; i < e; ++i) {
-      nn::Var logits = Forward(encoded[i], /*training=*/false, &unused);
+  ForEachSlice(valid.size(), [&](size_t qb, size_t qe, nn::Arena* arena) {
+    const float* logits = SliceLogits(encoded, qb, qe, /*int8=*/false, arena);
+    for (size_t i = qb; i < qe; ++i) {
+      const float* row = logits + (i - qb) * static_cast<size_t>(outputs_);
       if (kind_ == TaskKind::kClassification) {
-        nn::Var loss = nn::SoftmaxCrossEntropy(logits, {valid.labels[i]});
-        losses[i] = loss->value.at(0);
+        losses[i] = nn::infer::SoftmaxCrossEntropy(row, 1, outputs_,
+                                                   &valid.labels[i], nullptr);
+      } else if (config_.use_squared_loss) {
+        losses[i] = nn::infer::SquaredLoss(row, &valid.targets[i], 1, nullptr);
       } else {
-        nn::Var loss =
-            config_.use_squared_loss
-                ? nn::SquaredLoss(logits, {valid.targets[i]})
-                : nn::HuberLoss(logits, {valid.targets[i]},
-                                config_.huber_delta);
-        losses[i] = loss->value.at(0);
+        losses[i] = nn::infer::HuberLoss(row, &valid.targets[i], 1,
+                                         config_.huber_delta, nullptr);
       }
     }
   });
@@ -137,7 +254,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
   nn::AdaMax optimizer(params, config_.lr);
 
   // Pre-encode (sharded over the thread pool).
-  auto encoded = vocab_.EncodeAll(train.statements, MaxLen());
+  const auto encoded = EncodePadded(train.statements);
 
   // Data-parallel training: minibatches split into at most `train_shards`
   // microbatch shards that build their per-example graphs on the thread
@@ -211,8 +328,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
             for (size_t i = sb; i < se; ++i) {
               const size_t idx = perm[start + i];
               Rng example_rng(dropout_seeds[i]);
-              nn::Var logits =
-                  Forward(encoded[idx], /*training=*/true, &example_rng);
+              nn::Var logits = Forward(encoded[idx], &example_rng);
               nn::Var loss;
               if (kind_ == TaskKind::kClassification) {
                 // Distillation: train against the teacher's soft target row
@@ -349,32 +465,49 @@ Status CnnModel::LoadFrom(std::istream& in) {
   auto num_widths = serialize::ReadU64(in);
   if (!num_widths.ok()) return num_widths.status();
   if (*num_widths == 0 || *num_widths > 16) {
-    return Status::InvalidArgument("implausible width count");
+    return Status::CorruptCheckpoint("implausible width count");
   }
   config_.widths.clear();
   for (uint64_t i = 0; i < *num_widths; ++i) {
     int w = 0;
     if (Status s = read_i32(&w); !s.ok()) return s;
+    if (w < 1) return Status::CorruptCheckpoint("implausible conv width");
     config_.widths.push_back(w);
+  }
+  if ((kind != 0 && kind != 1) || outputs_ < 1 || config_.embed_dim < 1 ||
+      config_.kernels_per_width < 1) {
+    return Status::CorruptCheckpoint("implausible cnn_model header");
   }
   auto vocab = Vocabulary::LoadFrom(in);
   if (!vocab.ok()) return vocab.status();
   vocab_ = std::move(vocab).value();
 
-  auto read_param = [&](nn::Var* dst) -> Status {
-    auto t = serialize::ReadTensor(in);
-    if (!t.ok()) return t.status();
-    *dst = nn::MakeParam(std::move(t).value());
-    return Status::Ok();
+  // Every tensor must have the shape the header implies (see ReadParam).
+  auto read_param = [&in](nn::Var* dst, int64_t rows, int64_t cols,
+                          bool at_least_rows = false) {
+    return serialize::ReadParam(in, dst, rows, cols, at_least_rows);
   };
-  if (Status s = read_param(&embedding_.table); !s.ok()) return s;
-  convs_.assign(config_.widths.size(), nn::Linear());
-  for (auto& conv : convs_) {
-    if (Status s = read_param(&conv.weight); !s.ok()) return s;
-    if (Status s = read_param(&conv.bias); !s.ok()) return s;
+  const int d = config_.embed_dim;
+  const int kernels = config_.kernels_per_width;
+  if (Status s = read_param(&embedding_.table, vocab_.size(), d,
+                            /*at_least_rows=*/true);
+      !s.ok()) {
+    return s;
   }
-  if (Status s = read_param(&head_.weight); !s.ok()) return s;
-  if (Status s = read_param(&head_.bias); !s.ok()) return s;
+  convs_.assign(config_.widths.size(), nn::Linear());
+  for (size_t w = 0; w < convs_.size(); ++w) {
+    const int64_t window = int64_t{config_.widths[w]} * d;
+    if (Status s = read_param(&convs_[w].weight, window, kernels); !s.ok()) {
+      return s;
+    }
+    if (Status s = read_param(&convs_[w].bias, 1, kernels); !s.ok()) return s;
+  }
+  const int64_t feat_dim =
+      int64_t{kernels} * static_cast<int64_t>(config_.widths.size());
+  if (Status s = read_param(&head_.weight, feat_dim, outputs_); !s.ok()) {
+    return s;
+  }
+  if (Status s = read_param(&head_.bias, 1, outputs_); !s.ok()) return s;
 
   quant_ = CnnQuant{};
   if (!v2) return Status::Ok();  // v1: fp32-only checkpoint
@@ -412,24 +545,10 @@ Status CnnModel::LoadFrom(std::istream& in) {
 
 std::vector<float> CnnModel::Predict(const std::string& statement,
                                      double opt_cost) const {
-  (void)opt_cost;
-  if (nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
-      quant_.ready()) {
-    // The fp32 Predict builds the autograd graph; the int8 tier has only the
-    // graph-free batched kernels, so a single query is a batch of one (which
-    // also keeps Predict == PredictBatch bit-identical on this tier).
-    return PredictBatch(std::span<const std::string>(&statement, 1))[0];
-  }
-  nn::simd::LogDispatchOnce();
-  Rng unused(0);
-  const auto ids = vocab_.Encode(statement, MaxLen());
-  nn::Var logits = Forward(ids, /*training=*/false, &unused);
-  std::vector<float> out(logits->value.data(),
-                         logits->value.data() + logits->value.size());
-  if (kind_ == TaskKind::kClassification) {
-    nn::infer::SoftmaxInPlace(out.data(), out.size());
-  }
-  return out;
+  // A single query is a batch of one through the same kernels, so Predict
+  // and PredictBatch are bit-identical on either tier by construction.
+  return PredictBatch(std::span<const std::string>(&statement, 1),
+                      std::span<const double>(&opt_cost, 1))[0];
 }
 
 std::vector<std::vector<float>> CnnModel::PredictBatch(
@@ -438,199 +557,19 @@ std::vector<std::vector<float>> CnnModel::PredictBatch(
   (void)opt_costs;
   failpoint::MaybeFail("model.predict");
   nn::simd::LogDispatchOnce();
-  const size_t n = statements.size();
-  if (n == 0) return {};
-  if (nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
-      quant_.ready()) {
-    return PredictBatchInt8(statements);
-  }
-  auto encoded = vocab_.EncodeAll(statements, MaxLen());
-  const int max_width = *std::max_element(config_.widths.begin(),
-                                          config_.widths.end());
-  for (auto& ids : encoded) {
-    while (ids.size() < static_cast<size_t>(max_width)) ids.push_back(-1);
-  }
-
-  const int d = config_.embed_dim;
-  const int kernels = config_.kernels_per_width;
-  const int feat_dim = static_cast<int>(config_.widths.size()) * kernels;
-  const float* table = embedding_.table->value.data();
-  std::vector<std::vector<float>> preds(n);
-
-  // Fixed-size slices bound the arena high-water mark and give the thread
-  // pool deterministic work boundaries (each query's rows depend only on
-  // that query, so slicing cannot change any result).
-  constexpr size_t kSliceQueries = 32;
-  const size_t num_slices = (n + kSliceQueries - 1) / kSliceQueries;
-  ParallelFor(0, num_slices, 1, [&](size_t sb, size_t se) {
-    nn::Arena& arena = nn::ThreadLocalArena();
-    thread_local std::vector<size_t> row_offset;
-    for (size_t s = sb; s < se; ++s) {
-      const size_t qb = s * kSliceQueries;
-      const size_t qe = std::min(n, qb + kSliceQueries);
-      const int slice = static_cast<int>(qe - qb);
-
-      // Embed every query in the slice into one contiguous buffer.
-      size_t total_tokens = 0;
-      for (size_t q = qb; q < qe; ++q) total_tokens += encoded[q].size();
-      float* emb = arena.Alloc(total_tokens * d);
-      row_offset.assign(slice + 1, 0);
-      for (size_t q = qb; q < qe; ++q) {
-        const auto& ids = encoded[q];
-        nn::infer::GatherRows(table, d, ids.data(),
-                              static_cast<int>(ids.size()),
-                              emb + row_offset[q - qb] * d);
-        row_offset[q - qb + 1] =
-            row_offset[q - qb] + ids.size();
+  const bool int8 = nn::quant::ActivePrecision() ==
+                        nn::quant::Precision::kInt8 &&
+                    quant_.ready();
+  const auto encoded = EncodePadded(statements);
+  std::vector<std::vector<float>> preds(encoded.size());
+  ForEachSlice(encoded.size(), [&](size_t qb, size_t qe, nn::Arena* arena) {
+    const float* logits = SliceLogits(encoded, qb, qe, int8, arena);
+    for (size_t q = qb; q < qe; ++q) {
+      const float* row = logits + (q - qb) * static_cast<size_t>(outputs_);
+      preds[q].assign(row, row + outputs_);
+      if (kind_ == TaskKind::kClassification) {
+        nn::infer::SoftmaxInPlace(preds[q].data(), preds[q].size());
       }
-
-      float* features = arena.Alloc(static_cast<size_t>(slice) * feat_dim);
-      for (size_t w = 0; w < config_.widths.size(); ++w) {
-        const int width = config_.widths[w];
-        const int wd = width * d;
-        // Stack all queries' unfold windows into one tall matrix so the
-        // convolution is a single matmul for the whole slice.
-        size_t total_rows = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          total_rows += encoded[q].size() - width + 1;
-        }
-        float* windows = arena.Alloc(total_rows * wd);
-        size_t row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int t = static_cast<int>(encoded[q].size());
-          nn::infer::Unfold(emb + row_offset[q - qb] * d, t, d, width,
-                            windows + row * wd);
-          row += static_cast<size_t>(t - width + 1);
-        }
-        float* conv_out = arena.Alloc(total_rows * kernels);
-        nn::infer::MatMul(windows, convs_[w].weight->value.data(), conv_out,
-                          static_cast<int>(total_rows), wd, kernels);
-        nn::infer::BiasAdd(conv_out, convs_[w].bias->value.data(),
-                           static_cast<int>(total_rows), kernels);
-        nn::simd::Relu(conv_out, total_rows * kernels);
-        // Max-over-time per query lands directly in this width's feature
-        // columns, so the concat of pooled widths needs no extra copy.
-        row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
-          nn::infer::MaxOverTime(
-              conv_out, static_cast<int>(row), static_cast<int>(row) + rows_q,
-              kernels,
-              features + (q - qb) * static_cast<size_t>(feat_dim) +
-                  w * static_cast<size_t>(kernels));
-          row += static_cast<size_t>(rows_q);
-        }
-      }
-
-      float* logits = arena.Alloc(static_cast<size_t>(slice) * outputs_);
-      nn::infer::MatMul(features, head_.weight->value.data(), logits, slice,
-                        feat_dim, outputs_);
-      nn::infer::BiasAdd(logits, head_.bias->value.data(), slice, outputs_);
-      for (size_t q = qb; q < qe; ++q) {
-        const float* row = logits + (q - qb) * static_cast<size_t>(outputs_);
-        preds[q].assign(row, row + outputs_);
-        if (kind_ == TaskKind::kClassification) {
-          nn::infer::SoftmaxInPlace(preds[q].data(), preds[q].size());
-        }
-      }
-      arena.Reset();
-    }
-  });
-  return preds;
-}
-
-std::vector<std::vector<float>> CnnModel::PredictBatchInt8(
-    std::span<const std::string> statements) const {
-  const size_t n = statements.size();
-  auto encoded = vocab_.EncodeAll(statements, MaxLen());
-  const int max_width = *std::max_element(config_.widths.begin(),
-                                          config_.widths.end());
-  for (auto& ids : encoded) {
-    while (ids.size() < static_cast<size_t>(max_width)) ids.push_back(-1);
-  }
-
-  const int d = config_.embed_dim;
-  const int kernels = config_.kernels_per_width;
-  const int feat_dim = static_cast<int>(config_.widths.size()) * kernels;
-  std::vector<std::vector<float>> preds(n);
-
-  // Same fixed-slice partition as the fp32 path; gather and unfold move u8
-  // bytes, each width's conv is one quantized stacked matmul (dequantized
-  // against the fp32 conv bias), and Relu / max-over-time / head run the
-  // fp32 kernels on the dequantized activations.
-  constexpr size_t kSliceQueries = 32;
-  const size_t num_slices = (n + kSliceQueries - 1) / kSliceQueries;
-  ParallelFor(0, num_slices, 1, [&](size_t sb, size_t se) {
-    nn::Arena& arena = nn::ThreadLocalArena();
-    auto alloc_bytes = [&arena](size_t bytes) {
-      return reinterpret_cast<uint8_t*>(arena.Alloc((bytes + 3) / 4));
-    };
-    thread_local std::vector<size_t> row_offset;
-    for (size_t s = sb; s < se; ++s) {
-      const size_t qb = s * kSliceQueries;
-      const size_t qe = std::min(n, qb + kSliceQueries);
-      const int slice = static_cast<int>(qe - qb);
-
-      size_t total_tokens = 0;
-      for (size_t q = qb; q < qe; ++q) total_tokens += encoded[q].size();
-      uint8_t* emb = alloc_bytes(total_tokens * d);
-      row_offset.assign(slice + 1, 0);
-      for (size_t q = qb; q < qe; ++q) {
-        const auto& ids = encoded[q];
-        nn::infer::Int8GatherRows(quant_.qtable.data(), d, ids.data(),
-                                  static_cast<int>(ids.size()),
-                                  emb + row_offset[q - qb] * d, d);
-        row_offset[q - qb + 1] = row_offset[q - qb] + ids.size();
-      }
-
-      float* features = arena.Alloc(static_cast<size_t>(slice) * feat_dim);
-      for (size_t w = 0; w < config_.widths.size(); ++w) {
-        const int width = config_.widths[w];
-        const auto& W = quant_.convs[w];
-        const int a_stride = 4 * W.k4;
-        size_t total_rows = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          total_rows += encoded[q].size() - width + 1;
-        }
-        uint8_t* windows = alloc_bytes(total_rows * a_stride);
-        size_t row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int t = static_cast<int>(encoded[q].size());
-          nn::infer::Int8Unfold(emb + row_offset[q - qb] * d, t, d, width,
-                                windows + row * a_stride, a_stride);
-          row += static_cast<size_t>(t - width + 1);
-        }
-        int32_t* acc = reinterpret_cast<int32_t*>(
-            arena.Alloc(total_rows * static_cast<size_t>(W.n_pad)));
-        float* conv_out = arena.Alloc(total_rows * kernels);
-        nn::infer::Int8MatMul(windows, a_stride, W, quant_.emb_scale,
-                              convs_[w].bias->value.data(),
-                              static_cast<int>(total_rows), acc, conv_out);
-        nn::simd::Relu(conv_out, total_rows * kernels);
-        row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
-          nn::infer::MaxOverTime(
-              conv_out, static_cast<int>(row), static_cast<int>(row) + rows_q,
-              kernels,
-              features + (q - qb) * static_cast<size_t>(feat_dim) +
-                  w * static_cast<size_t>(kernels));
-          row += static_cast<size_t>(rows_q);
-        }
-      }
-
-      float* logits = arena.Alloc(static_cast<size_t>(slice) * outputs_);
-      nn::infer::MatMul(features, head_.weight->value.data(), logits, slice,
-                        feat_dim, outputs_);
-      nn::infer::BiasAdd(logits, head_.bias->value.data(), slice, outputs_);
-      for (size_t q = qb; q < qe; ++q) {
-        const float* row = logits + (q - qb) * static_cast<size_t>(outputs_);
-        preds[q].assign(row, row + outputs_);
-        if (kind_ == TaskKind::kClassification) {
-          nn::infer::SoftmaxInPlace(preds[q].data(), preds[q].size());
-        }
-      }
-      arena.Reset();
     }
   });
   return preds;

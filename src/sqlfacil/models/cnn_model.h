@@ -10,6 +10,10 @@
 #include "sqlfacil/nn/optim.h"
 #include "sqlfacil/nn/quant.h"
 
+namespace sqlfacil::nn {
+class Arena;
+}  // namespace sqlfacil::nn
+
 namespace sqlfacil::models {
 
 /// The shallow CNN of Section 5.3 (Figure 11, adapted from Kim [32]):
@@ -55,7 +59,7 @@ class CnnModel : public Model {
   /// width the unfold windows of every query in a slice stack into one tall
   /// matrix, so each width costs a single stacked matmul instead of one
   /// matmul per query. Temporaries live in a per-thread arena (zero heap
-  /// allocations at steady state). Bit-identical to per-query Predict.
+  /// allocations at steady state). Predict is a batch of one.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -101,16 +105,23 @@ class CnnModel : public Model {
                ? config_.max_len_char
                : config_.max_len_word;
   }
-  /// Forward pass for one encoded statement; training enables dropout.
-  nn::Var Forward(const std::vector<int>& ids, bool training,
-                  Rng* rng) const;
-  std::vector<nn::Var> Params() const;
-  double ValidLoss(const Dataset& valid) const;
-  /// Int8-tier PredictBatch (quant_ must be ready): the same fixed-slice
-  /// partition as the fp32 path with u8 gather/unfold and quantized conv
-  /// matmuls; pooling and the head run fp32.
-  std::vector<std::vector<float>> PredictBatchInt8(
+  /// Training-step forward (autograd, dropout on) for one padded statement.
+  nn::Var Forward(const std::vector<int>& ids, Rng* rng) const;
+  /// Encodes statements, each padded with -1 (a zero embedding row) to the
+  /// widest conv window.
+  std::vector<std::vector<int>> EncodePadded(
       std::span<const std::string> statements) const;
+  /// The graph-free forward of encoded[qb..qe) up to the logits, returned
+  /// as a (slice x outputs_) row-major block in `arena`. The int8 tier
+  /// (quant_ must be ready) gathers and unfolds u8 rows and runs quantized
+  /// conv matmuls; Relu, max-over-time pooling and the head run fp32 on
+  /// both tiers.
+  const float* SliceLogits(const std::vector<std::vector<int>>& encoded,
+                           size_t qb, size_t qe, bool int8,
+                           nn::Arena* arena) const;
+  std::vector<nn::Var> Params() const;
+  /// Mean validation loss from SliceLogits on the fp32 tier.
+  double ValidLoss(const Dataset& valid) const;
 
   Config config_;
   TaskKind kind_ = TaskKind::kClassification;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include <iostream>
-
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/train_state.h"
 #include "sqlfacil/nn/arena.h"
@@ -35,6 +33,44 @@ void Restore(const std::vector<nn::Var>& params,
   for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
 }
 
+/// Length bucketing as in Fit: a stable sort by encoded length so buckets
+/// of `bucket` sequences carry minimal padding (a single bucket skips it).
+/// Runs `fn(seqs, idx, batch, arena)` per bucket — seqs[i] is statement
+/// idx[i] — and resets the per-thread arena after each. Every row computes
+/// from its own state only, so results do not depend on the partition.
+template <typename Fn>
+void ForEachBucket(const std::vector<std::vector<int>>& encoded, int bucket,
+                   bool parallel, const Fn& fn) {
+  const size_t n = encoded.size();
+  const size_t size = static_cast<size_t>(std::max(1, bucket));
+  const size_t num_buckets = (n + size - 1) / size;
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  if (num_buckets > 1) {
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return encoded[a].size() < encoded[b].size();
+    });
+  }
+  auto run = [&](size_t bb, size_t be) {
+    nn::Arena& arena = nn::ThreadLocalArena();
+    thread_local std::vector<const std::vector<int>*> seqs;
+    for (size_t b = bb; b < be; ++b) {
+      const size_t start = b * size;
+      const size_t end = std::min(n, start + size);
+      seqs.clear();
+      for (size_t i = start; i < end; ++i) seqs.push_back(&encoded[order[i]]);
+      fn(seqs.data(), order.data() + start, static_cast<int>(end - start),
+         &arena);
+      arena.Reset();
+    }
+  };
+  if (parallel) {
+    ParallelFor(0, num_buckets, 1, run);
+  } else {
+    run(0, num_buckets);
+  }
+}
+
 }  // namespace
 
 std::vector<nn::Var> LstmModel::Params() const {
@@ -50,62 +86,35 @@ size_t LstmModel::num_parameters() const {
   return total;
 }
 
-nn::Var LstmModel::Forward(
-    const std::vector<const std::vector<int>*>& batch) const {
-  size_t max_len = 1;
-  for (const auto* ids : batch) max_len = std::max(max_len, ids->size());
-  std::vector<nn::Var> steps;
-  std::vector<std::vector<bool>> active;
-  steps.reserve(max_len);
-  active.reserve(max_len);
-  for (size_t t = 0; t < max_len; ++t) {
-    std::vector<int> step_ids(batch.size());
-    std::vector<bool> step_active(batch.size());
-    for (size_t b = 0; b < batch.size(); ++b) {
-      const bool is_active = t < batch[b]->size();
-      step_active[b] = is_active;
-      step_ids[b] = is_active ? (*batch[b])[t] : -1;
-    }
-    steps.push_back(embedding_.Lookup(step_ids));
-    active.push_back(std::move(step_active));
-  }
-  nn::Var h = stack_.Run(steps, active);
-  return head_.Apply(h);
-}
-
 double LstmModel::ValidLoss(
     const Dataset& valid, const std::vector<std::vector<int>>& encoded) const {
   if (valid.size() == 0) return 0.0;
-  const size_t batch = config_.batch_size;
-  const size_t num_batches = (valid.size() + batch - 1) / batch;
-  // Batches evaluate in parallel (forward-only, no shared mutable state);
-  // per-batch losses land in slots and sum in batch order so the result is
-  // bit-identical to the serial loop at any thread count.
-  std::vector<double> partial(num_batches, 0.0);
-  ParallelFor(0, num_batches, 1, [&](size_t bb, size_t be) {
-    for (size_t b = bb; b < be; ++b) {
-      const size_t start = b * batch;
-      const size_t end = std::min(valid.size(), start + batch);
-      std::vector<const std::vector<int>*> refs;
-      std::vector<int> labels;
-      std::vector<float> targets;
-      for (size_t i = start; i < end; ++i) {
-        refs.push_back(&encoded[i]);
-        if (kind_ == TaskKind::kClassification) {
-          labels.push_back(valid.labels[i]);
-        } else {
-          targets.push_back(valid.targets[i]);
-        }
-      }
-      nn::Var out = Forward(refs);
-      nn::Var loss = kind_ == TaskKind::kClassification
-                         ? nn::SoftmaxCrossEntropy(out, labels)
-                         : nn::HuberLoss(out, targets, config_.huber_delta);
-      partial[b] = static_cast<double>(loss->value.at(0)) * refs.size();
-    }
-  });
+  // The serving forward on the fp32 weights being trained, whatever tier
+  // serves: a re-fit must not be scored by the previous fit's int8 tier.
+  // Losses land in per-example slots and sum in example order for
+  // bit-identical results at any thread count.
+  std::vector<double> losses(valid.size(), 0.0);
+  ForEachBucket(encoded, config_.batch_size, /*parallel=*/true,
+                [&](const std::vector<int>* const* seqs, const size_t* idx,
+                    int batch, nn::Arena* arena) {
+                  float* logits =
+                      arena->Alloc(static_cast<size_t>(batch) * outputs_);
+                  BucketLogits(seqs, batch, /*int8=*/false, arena, logits);
+                  for (int i = 0; i < batch; ++i) {
+                    const float* row =
+                        logits + static_cast<size_t>(i) * outputs_;
+                    const size_t e = idx[i];
+                    losses[e] =
+                        kind_ == TaskKind::kClassification
+                            ? nn::infer::SoftmaxCrossEntropy(
+                                  row, 1, outputs_, &valid.labels[e], nullptr)
+                            : nn::infer::HuberLoss(row, &valid.targets[e], 1,
+                                                   config_.huber_delta,
+                                                   nullptr);
+                  }
+                });
   double total = 0.0;
-  for (double p : partial) total += p;
+  for (double l : losses) total += l;
   return total / static_cast<double>(valid.size());
 }
 
@@ -335,7 +344,11 @@ Status LstmModel::LoadFrom(std::istream& in) {
   if (Status s = read_i32(&config_.hidden_dim); !s.ok()) return s;
   if (Status s = read_i32(&config_.num_layers); !s.ok()) return s;
   if (config_.num_layers < 1 || config_.num_layers > 16) {
-    return Status::InvalidArgument("implausible LSTM layer count");
+    return Status::CorruptCheckpoint("implausible LSTM layer count");
+  }
+  if ((kind != 0 && kind != 1) || outputs_ < 1 || config_.embed_dim < 1 ||
+      config_.hidden_dim < 1) {
+    return Status::CorruptCheckpoint("implausible lstm_model header");
   }
   auto max_len_char = serialize::ReadU64(in);
   if (!max_len_char.ok()) return max_len_char.status();
@@ -347,24 +360,39 @@ Status LstmModel::LoadFrom(std::istream& in) {
   if (!vocab.ok()) return vocab.status();
   vocab_ = std::move(vocab).value();
 
-  auto read_param = [&](nn::Var* dst) -> Status {
-    auto t = serialize::ReadTensor(in);
-    if (!t.ok()) return t.status();
-    *dst = nn::MakeParam(std::move(t).value());
-    return Status::Ok();
+  // Every tensor must have the shape the header implies (see ReadParam).
+  auto read_param = [&in](nn::Var* dst, int64_t rows, int64_t cols,
+                          bool at_least_rows = false) {
+    return serialize::ReadParam(in, dst, rows, cols, at_least_rows);
   };
-  if (Status s = read_param(&embedding_.table); !s.ok()) return s;
-  // Rebuild the stack scaffolding, then overwrite the trained parameters.
-  Rng scaffold_rng(0);
-  stack_ = nn::LstmStack(config_.embed_dim, config_.hidden_dim,
-                         config_.num_layers, &scaffold_rng);
-  for (auto& layer : stack_.layers) {
-    if (Status s = read_param(&layer.input_map.weight); !s.ok()) return s;
-    if (Status s = read_param(&layer.input_map.bias); !s.ok()) return s;
-    if (Status s = read_param(&layer.hidden_map.weight); !s.ok()) return s;
+  const int hidden = config_.hidden_dim;
+  const int64_t gates = int64_t{4} * hidden;
+  if (Status s = read_param(&embedding_.table, vocab_.size(),
+                            config_.embed_dim, /*at_least_rows=*/true);
+      !s.ok()) {
+    return s;
   }
-  if (Status s = read_param(&head_.weight); !s.ok()) return s;
-  if (Status s = read_param(&head_.bias); !s.ok()) return s;
+  stack_.layers.assign(config_.num_layers, nn::LstmLayer());
+  for (int l = 0; l < config_.num_layers; ++l) {
+    auto& layer = stack_.layers[l];
+    layer.hidden_dim = hidden;
+    const int input_dim = l == 0 ? config_.embed_dim : hidden;
+    if (Status s = read_param(&layer.input_map.weight, input_dim, gates);
+        !s.ok()) {
+      return s;
+    }
+    if (Status s = read_param(&layer.input_map.bias, 1, gates); !s.ok()) {
+      return s;
+    }
+    if (Status s = read_param(&layer.hidden_map.weight, hidden, gates);
+        !s.ok()) {
+      return s;
+    }
+  }
+  if (Status s = read_param(&head_.weight, hidden, outputs_); !s.ok()) {
+    return s;
+  }
+  if (Status s = read_param(&head_.bias, 1, outputs_); !s.ok()) return s;
 
   quant_ = nn::QuantLstmStack{};
   hidden_scale_ = 0.0f;
@@ -381,7 +409,6 @@ Status LstmModel::LoadFrom(std::istream& in) {
     return Status::CorruptCheckpoint("bad hidden-state scale");
   }
   hidden_scale_ = *hs;
-  const int hidden = config_.hidden_dim;
   nn::QuantLstmStack q;
   q.num_layers = config_.num_layers;
   q.hidden = hidden;
@@ -425,27 +452,24 @@ Status LstmModel::LoadFrom(std::istream& in) {
 
 std::vector<float> LstmModel::Predict(const std::string& statement,
                                       double opt_cost) const {
-  // A single query is a batch of one through the same fused inference
-  // kernels, so Predict and PredictBatch are bit-identical by construction
-  // (the autograd Forward sums the two gate matmuls separately and would
-  // differ from the fused LstmGates order in the last bit).
+  // A single query is a batch of one through the same kernels, so Predict
+  // and PredictBatch are bit-identical on either tier by construction.
   return PredictBatch(std::span<const std::string>(&statement, 1),
                       std::span<const double>(&opt_cost, 1))[0];
 }
 
-void LstmModel::ForwardInference(
-    const std::vector<std::vector<int>>& encoded,
-    const std::vector<size_t>& order, size_t start, size_t end,
-    nn::Arena* arena, std::vector<std::vector<float>>* preds,
-    float* max_abs_h) const {
-  const int batch = static_cast<int>(end - start);
+void LstmModel::BucketLogits(const std::vector<int>* const* seqs, int batch,
+                             bool int8, nn::Arena* arena, float* logits,
+                             float* max_abs_h) const {
+  if (int8) {
+    nn::LstmInt8Forward(quant_, seqs, batch, arena, logits);
+    return;
+  }
   const int d = config_.embed_dim;
   const int hidden = config_.hidden_dim;
   const int layers = static_cast<int>(stack_.layers.size());
   size_t max_len = 1;
-  for (size_t i = start; i < end; ++i) {
-    max_len = std::max(max_len, encoded[order[i]].size());
-  }
+  for (int b = 0; b < batch; ++b) max_len = std::max(max_len, seqs[b]->size());
 
   // Step workspace, allocated once and reused across every (t, layer) pair
   // so the arena high-water mark is independent of sequence length.
@@ -469,7 +493,7 @@ void LstmModel::ForwardInference(
 
   for (size_t t = 0; t < max_len; ++t) {
     for (int b = 0; b < batch; ++b) {
-      const auto& ids = encoded[order[start + b]];
+      const auto& ids = *seqs[b];
       step_ids[b] = t < ids.size() ? ids[t] : -1;
     }
     nn::infer::GatherRows(embedding_.table->value.data(), d, step_ids.data(),
@@ -490,8 +514,8 @@ void LstmModel::ForwardInference(
         float* c_out = c_next[l] + static_cast<size_t>(b) * hidden;
         const float* h_in = h_prev[l] + static_cast<size_t>(b) * hidden;
         const float* c_in = c_prev[l] + static_cast<size_t>(b) * hidden;
-        if (t >= encoded[order[start + b]].size()) {
-          // Padded row: state carries over (autograd's BlendRows).
+        if (t >= seqs[b]->size()) {
+          // Padded row: state carries over.
           std::copy(h_in, h_in + hidden, h_out);
           std::copy(c_in, c_in + hidden, c_out);
           continue;
@@ -518,18 +542,9 @@ void LstmModel::ForwardInference(
     }
   }
 
-  float* logits = arena->Alloc(static_cast<size_t>(batch) * outputs_);
   nn::infer::MatMul(h_prev[layers - 1], head_.weight->value.data(), logits,
                     batch, hidden, outputs_);
   nn::infer::BiasAdd(logits, head_.bias->value.data(), batch, outputs_);
-  for (int b = 0; b < batch; ++b) {
-    const float* row = logits + static_cast<size_t>(b) * outputs_;
-    auto& out = (*preds)[order[start + b]];
-    out.assign(row, row + outputs_);
-    if (kind_ == TaskKind::kClassification) {
-      nn::infer::SoftmaxInPlace(out.data(), out.size());
-    }
-  }
 }
 
 std::vector<std::vector<float>> LstmModel::PredictBatch(
@@ -538,90 +553,28 @@ std::vector<std::vector<float>> LstmModel::PredictBatch(
   (void)opt_costs;
   failpoint::MaybeFail("model.predict");
   nn::simd::LogDispatchOnce();
-  const size_t n = statements.size();
-  if (n == 0) return {};
-  if (nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
-      quant_.ready()) {
-    return PredictBatchInt8(statements);
-  }
-  auto encoded = vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true);
-  // Length bucketing as in Fit: stable sort by encoded length so buckets
-  // carry minimal padding (and results stay order-independent — every row
-  // computes from its own state only).
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return encoded[a].size() < encoded[b].size();
-  });
-  const size_t bucket = static_cast<size_t>(std::max(1, config_.batch_size));
-  const size_t num_buckets = (n + bucket - 1) / bucket;
-  std::vector<std::vector<float>> preds(n);
-  ParallelFor(0, num_buckets, 1, [&](size_t bb, size_t be) {
-    nn::Arena& arena = nn::ThreadLocalArena();
-    for (size_t b = bb; b < be; ++b) {
-      const size_t start = b * bucket;
-      ForwardInference(encoded, order, start, std::min(n, start + bucket),
-                       &arena, &preds);
-      arena.Reset();
-    }
-  });
-  return preds;
-}
-
-std::vector<std::vector<float>> LstmModel::PredictBatchInt8(
-    std::span<const std::string> statements) const {
-  const size_t n = statements.size();
-  std::vector<std::vector<float>> preds(n);
-  if (n == 1) {
-    // Single-query bypass: the bucketed path below costs one EncodeAll shard
-    // dispatch, a sort, and a ParallelFor round trip — fixed overhead that
-    // dominates once the gates are quantized. Encode inline and run the
-    // bucket kernel on one row; bit-identical because LstmInt8Forward's rows
-    // depend only on their own sequence.
-    std::vector<int> ids = vocab_.Encode(statements[0], MaxLen());
-    if (ids.empty()) ids.push_back(Vocabulary::kUnkId);
-    const std::vector<int>* seq = &ids;
-    nn::Arena& arena = nn::ThreadLocalArena();
-    auto& out = preds[0];
-    out.resize(static_cast<size_t>(outputs_));
-    nn::LstmInt8Forward(quant_, &seq, 1, &arena, out.data());
-    arena.Reset();
-    if (kind_ == TaskKind::kClassification) {
-      nn::infer::SoftmaxInPlace(out.data(), out.size());
-    }
-    return preds;
-  }
-  auto encoded = vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true);
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return encoded[a].size() < encoded[b].size();
-  });
-  const size_t bucket = static_cast<size_t>(std::max(1, config_.batch_size));
-  const size_t num_buckets = (n + bucket - 1) / bucket;
-  ParallelFor(0, num_buckets, 1, [&](size_t bb, size_t be) {
-    nn::Arena& arena = nn::ThreadLocalArena();
-    thread_local std::vector<const std::vector<int>*> seqs;
-    thread_local std::vector<float> logits;
-    for (size_t b = bb; b < be; ++b) {
-      const size_t start = b * bucket;
-      const size_t end = std::min(n, start + bucket);
-      const int batch = static_cast<int>(end - start);
-      seqs.assign(batch, nullptr);
-      for (int i = 0; i < batch; ++i) seqs[i] = &encoded[order[start + i]];
-      logits.assign(static_cast<size_t>(batch) * outputs_, 0.0f);
-      nn::LstmInt8Forward(quant_, seqs.data(), batch, &arena, logits.data());
-      arena.Reset();
-      for (int i = 0; i < batch; ++i) {
-        const float* row = logits.data() + static_cast<size_t>(i) * outputs_;
-        auto& out = preds[order[start + i]];
-        out.assign(row, row + outputs_);
-        if (kind_ == TaskKind::kClassification) {
-          nn::infer::SoftmaxInPlace(out.data(), out.size());
-        }
-      }
-    }
-  });
+  const bool int8 = nn::quant::ActivePrecision() ==
+                        nn::quant::Precision::kInt8 &&
+                    quant_.ready();
+  const auto encoded =
+      vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true);
+  std::vector<std::vector<float>> preds(encoded.size());
+  ForEachBucket(encoded, config_.batch_size, /*parallel=*/true,
+                [&](const std::vector<int>* const* seqs, const size_t* idx,
+                    int batch, nn::Arena* arena) {
+                  float* logits =
+                      arena->Alloc(static_cast<size_t>(batch) * outputs_);
+                  BucketLogits(seqs, batch, int8, arena, logits);
+                  for (int i = 0; i < batch; ++i) {
+                    const float* row =
+                        logits + static_cast<size_t>(i) * outputs_;
+                    auto& out = preds[idx[i]];
+                    out.assign(row, row + outputs_);
+                    if (kind_ == TaskKind::kClassification) {
+                      nn::infer::SoftmaxInPlace(out.data(), out.size());
+                    }
+                  }
+                });
   return preds;
 }
 
@@ -633,25 +586,20 @@ Status LstmModel::Quantize(std::span<const std::string> calibration) {
     return Status::InvalidArgument(
         "quantize requires calibration statements");
   }
-  // Calibration = the fp32 inference path with max|h| capture. Serial over
+  // Calibration = the fp32 forward with max|h| capture. Serial over
   // buckets: the split is small and a single running max avoids any
   // cross-thread reduction question.
-  auto encoded = vocab_.EncodeAll(calibration, MaxLen(), /*pad_empty=*/true);
-  std::vector<size_t> order(encoded.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return encoded[a].size() < encoded[b].size();
-  });
-  const size_t bucket = static_cast<size_t>(std::max(1, config_.batch_size));
-  std::vector<std::vector<float>> preds(encoded.size());
+  const auto encoded =
+      vocab_.EncodeAll(calibration, MaxLen(), /*pad_empty=*/true);
   float max_abs = 0.0f;
-  nn::Arena& arena = nn::ThreadLocalArena();
-  for (size_t start = 0; start < encoded.size(); start += bucket) {
-    ForwardInference(encoded, order, start,
-                     std::min(encoded.size(), start + bucket), &arena, &preds,
-                     &max_abs);
-    arena.Reset();
-  }
+  ForEachBucket(encoded, config_.batch_size, /*parallel=*/false,
+                [&](const std::vector<int>* const* seqs, const size_t*,
+                    int batch, nn::Arena* arena) {
+                  BucketLogits(
+                      seqs, batch, /*int8=*/false, arena,
+                      arena->Alloc(static_cast<size_t>(batch) * outputs_),
+                      &max_abs);
+                });
   hidden_scale_ = std::max(max_abs, 1e-6f) / 127.0f;
   quant_ = nn::BuildQuantLstmStack(embedding_.table->value, stack_, head_,
                                    outputs_, hidden_scale_);

@@ -53,9 +53,9 @@ class LstmModel : public Model {
   /// Batched fast path: queries are length-bucketed (stable sort by encoded
   /// length, fixed bucket size) so padding work is minimal, and each bucket
   /// runs a fused graph-free forward with all temporaries in a per-thread
-  /// arena. Bit-identical to per-query Predict: every step kernel is
-  /// row-independent and padded rows keep their state, exactly like the
-  /// autograd path's BlendRows.
+  /// arena. Predict is a batch of one; the bucket partition never changes a
+  /// result because every step kernel is row-independent and padded rows
+  /// keep their state.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -82,24 +82,18 @@ class LstmModel : public Model {
                ? config_.max_len_char
                : config_.max_len_word;
   }
-  /// Batched forward over encoded sequences; returns (B x outputs).
-  nn::Var Forward(const std::vector<const std::vector<int>*>& batch) const;
-  /// Graph-free forward for one bucket of PredictBatch: queries
-  /// order[start..end), temporaries in `arena` (caller resets it), results
-  /// written to (*preds)[order[i]]. When `max_abs_h` is non-null, it also
-  /// accumulates max|h| over every active hidden state (all layers, all
-  /// steps) — the int8 tier's activation calibration.
-  void ForwardInference(const std::vector<std::vector<int>>& encoded,
-                        const std::vector<size_t>& order, size_t start,
-                        size_t end, nn::Arena* arena,
-                        std::vector<std::vector<float>>* preds,
-                        float* max_abs_h = nullptr) const;
-  /// Int8-tier PredictBatch (quant_ must be ready): same length-bucketed
-  /// partition as the fp32 path, plus a single-query bypass that skips the
-  /// EncodeAll shard dispatch, the sort, and the ParallelFor round trip.
-  std::vector<std::vector<float>> PredictBatchInt8(
-      std::span<const std::string> statements) const;
+  /// The graph-free forward of one bucket up to the logits: seqs[0..batch)
+  /// are encoded statements (>= 1 token each), and the (batch x outputs_)
+  /// row-major logits land in `logits`; temporaries come from `arena`
+  /// (caller resets it). The int8 tier (quant_ must be ready) runs
+  /// nn::LstmInt8Forward. When `max_abs_h` is non-null, the fp32 forward
+  /// also accumulates max|h| over every active hidden state (all layers,
+  /// all steps) — the int8 tier's activation calibration.
+  void BucketLogits(const std::vector<int>* const* seqs, int batch, bool int8,
+                    nn::Arena* arena, float* logits,
+                    float* max_abs_h = nullptr) const;
   std::vector<nn::Var> Params() const;
+  /// Mean validation loss from BucketLogits on the fp32 tier.
   double ValidLoss(const Dataset& valid,
                    const std::vector<std::vector<int>>& encoded) const;
 

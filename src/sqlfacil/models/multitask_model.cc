@@ -6,6 +6,7 @@
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/train_state.h"
 #include "sqlfacil/nn/data_parallel.h"
+#include "sqlfacil/nn/infer.h"
 #include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/thread_pool.h"
@@ -320,7 +321,7 @@ Status MultiTaskCnnModel::LoadFrom(std::istream& in) {
   };
   if (Status s = read_i32(&num_error_classes_); !s.ok()) return s;
   if (num_error_classes_ < 1 || num_error_classes_ > 1024) {
-    return Status::InvalidArgument("implausible error class count");
+    return Status::CorruptCheckpoint("implausible error class count");
   }
   int granularity = 0;
   if (Status s = read_i32(&granularity); !s.ok()) return s;
@@ -334,33 +335,51 @@ Status MultiTaskCnnModel::LoadFrom(std::istream& in) {
   auto num_widths = serialize::ReadU64(in);
   if (!num_widths.ok()) return num_widths.status();
   if (*num_widths == 0 || *num_widths > 16) {
-    return Status::InvalidArgument("implausible width count");
+    return Status::CorruptCheckpoint("implausible width count");
   }
   config_.widths.clear();
   for (uint64_t i = 0; i < *num_widths; ++i) {
     int w = 0;
     if (Status s = read_i32(&w); !s.ok()) return s;
+    if (w < 1) return Status::CorruptCheckpoint("implausible conv width");
     config_.widths.push_back(w);
   }
   auto vocab = Vocabulary::LoadFrom(in);
   if (!vocab.ok()) return vocab.status();
   vocab_ = std::move(vocab).value();
 
-  auto read_param = [&](nn::Var* dst) -> Status {
-    auto t = serialize::ReadTensor(in);
-    if (!t.ok()) return t.status();
-    *dst = nn::MakeParam(std::move(t).value());
-    return Status::Ok();
-  };
-  if (Status s = read_param(&embedding_.table); !s.ok()) return s;
-  convs_.assign(config_.widths.size(), nn::Linear());
-  for (auto& conv : convs_) {
-    if (Status s = read_param(&conv.weight); !s.ok()) return s;
-    if (Status s = read_param(&conv.bias); !s.ok()) return s;
+  if (config_.embed_dim < 1 || config_.kernels_per_width < 1) {
+    return Status::CorruptCheckpoint("implausible multitask_model header");
   }
-  for (auto* head : {&error_head_, &cpu_head_, &answer_head_}) {
-    if (Status s = read_param(&head->weight); !s.ok()) return s;
-    if (Status s = read_param(&head->bias); !s.ok()) return s;
+  // Every tensor must have the shape the header implies (see ReadParam).
+  auto read_param = [&in](nn::Var* dst, int64_t rows, int64_t cols,
+                          bool at_least_rows = false) {
+    return serialize::ReadParam(in, dst, rows, cols, at_least_rows);
+  };
+  const int d = config_.embed_dim;
+  const int kernels = config_.kernels_per_width;
+  if (Status s = read_param(&embedding_.table, vocab_.size(), d,
+                            /*at_least_rows=*/true);
+      !s.ok()) {
+    return s;
+  }
+  convs_.assign(config_.widths.size(), nn::Linear());
+  for (size_t w = 0; w < convs_.size(); ++w) {
+    const int64_t window = int64_t{config_.widths[w]} * d;
+    if (Status s = read_param(&convs_[w].weight, window, kernels); !s.ok()) {
+      return s;
+    }
+    if (Status s = read_param(&convs_[w].bias, 1, kernels); !s.ok()) return s;
+  }
+  const int64_t feat_dim =
+      int64_t{kernels} * static_cast<int64_t>(config_.widths.size());
+  for (auto [head, outputs] : {std::pair{&error_head_, num_error_classes_},
+                               std::pair{&cpu_head_, 1},
+                               std::pair{&answer_head_, 1}}) {
+    if (Status s = read_param(&head->weight, feat_dim, outputs); !s.ok()) {
+      return s;
+    }
+    if (Status s = read_param(&head->bias, 1, outputs); !s.ok()) return s;
   }
   return Status::Ok();
 }
@@ -374,14 +393,7 @@ MultiTaskCnnModel::Prediction MultiTaskCnnModel::Predict(
   nn::Var logits = error_head_.Apply(features);
   pred.error_probs.assign(logits->value.data(),
                           logits->value.data() + logits->value.size());
-  float max_logit =
-      *std::max_element(pred.error_probs.begin(), pred.error_probs.end());
-  double denom = 0.0;
-  for (float& v : pred.error_probs) {
-    v = std::exp(v - max_logit);
-    denom += v;
-  }
-  for (float& v : pred.error_probs) v = static_cast<float>(v / denom);
+  nn::infer::SoftmaxInPlace(pred.error_probs.data(), pred.error_probs.size());
   pred.cpu = cpu_head_.Apply(features)->value.at(0);
   pred.answer = answer_head_.Apply(features)->value.at(0);
   return pred;

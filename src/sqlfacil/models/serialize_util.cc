@@ -152,6 +152,19 @@ StatusOr<nn::Tensor> ReadTensor(std::istream& in) {
   return t;
 }
 
+Status ReadParam(std::istream& in, nn::Var* dst, int64_t rows, int64_t cols,
+                 bool at_least_rows) {
+  auto t = ReadTensor(in);
+  if (!t.ok()) return t.status();
+  const auto& shape = t->shape();
+  if (shape.size() != 2 || shape[1] != cols ||
+      (at_least_rows ? shape[0] < rows : shape[0] != rows)) {
+    return Status::CorruptCheckpoint("tensor shape does not match the header");
+  }
+  *dst = nn::MakeParam(std::move(t).value());
+  return Status::Ok();
+}
+
 void WriteQuantTensor(std::ostream& out,
                       const nn::quant::QuantizedTensor& q) {
   WriteI32(out, q.k);

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sqlfacil/nn/autograd.h"
 #include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/tensor.h"
 #include "sqlfacil/util/status.h"
@@ -47,6 +48,14 @@ StatusOr<std::vector<float>> ReadFloats(std::istream& in);
 
 void WriteTensor(std::ostream& out, const nn::Tensor& t);
 StatusOr<nn::Tensor> ReadTensor(std::istream& in);
+
+/// Reads a model parameter whose shape the checkpoint header fixes into
+/// `*dst`: kCorruptCheckpoint unless it is a (rows x cols) matrix. With
+/// `at_least_rows`, any row count >= rows passes (an embedding table must
+/// cover its vocabulary). Legacy unframed checkpoints carry no CRC, so this
+/// is what stops a damaged header from sizing the inference kernels.
+Status ReadParam(std::istream& in, nn::Var* dst, int64_t rows, int64_t cols,
+                 bool at_least_rows = false);
 
 /// Quantized weight matrix (nn/quant.h): stores shape, scale, and the packed
 /// bytes. col_corr is derived data and recomputed on read; readers validate

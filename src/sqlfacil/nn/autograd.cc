@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sqlfacil/nn/infer.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/thread_pool.h"
@@ -879,30 +880,11 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int>& labels,
   SQLFACIL_CHECK(static_cast<int>(labels.size()) == b);
   Var v = detail::AllocNode();
   v->aux.ResetShape({b, c});
-  Tensor& probs = v->aux;
-  double loss_sum = 0.0;
-  for (int i = 0; i < b; ++i) {
-    float max_logit = logits->value.at(i, 0);
-    for (int j = 1; j < c; ++j) {
-      max_logit = std::max(max_logit, logits->value.at(i, j));
-    }
-    double denom = 0.0;
-    for (int j = 0; j < c; ++j) {
-      denom += std::exp(static_cast<double>(logits->value.at(i, j) -
-                                            max_logit));
-    }
-    for (int j = 0; j < c; ++j) {
-      probs.at(i, j) = static_cast<float>(
-          std::exp(static_cast<double>(logits->value.at(i, j) - max_logit)) /
-          denom);
-    }
-    SQLFACIL_CHECK(labels[i] >= 0 && labels[i] < c);
-    loss_sum -= std::log(std::max(1e-12, static_cast<double>(
-                                             probs.at(i, labels[i]))));
-  }
-  if (probs_out != nullptr) probs_out->CopyFrom(probs);
+  const float loss = infer::SoftmaxCrossEntropy(logits->value.data(), b, c,
+                                                labels.data(), v->aux.data());
+  if (probs_out != nullptr) probs_out->CopyFrom(v->aux);
   v->value.ResetShape({1, 1});
-  v->value.at(0, 0) = static_cast<float>(loss_sum / b);
+  v->value.at(0, 0) = loss;
   v->iaux.assign(labels.begin(), labels.end());
   detail::FinalizeOp(v, Op::kSoftmaxCrossEntropy, {logits});
   return v;
@@ -952,15 +934,10 @@ Var HuberLoss(const Var& pred, const std::vector<float>& targets,
   SQLFACIL_CHECK(static_cast<int>(targets.size()) == b);
   Var v = detail::AllocNode();
   v->faux.resize(static_cast<size_t>(b));
-  double loss_sum = 0.0;
-  for (int i = 0; i < b; ++i) {
-    const float r = pred->value.at(i, 0) - targets[i];
-    v->faux[i] = r;
-    const float ar = std::fabs(r);
-    loss_sum += (ar <= delta) ? 0.5f * r * r : delta * (ar - 0.5f * delta);
-  }
+  const float loss = infer::HuberLoss(pred->value.data(), targets.data(), b,
+                                      delta, v->faux.data());
   v->value.ResetShape({1, 1});
-  v->value.at(0, 0) = static_cast<float>(loss_sum / b);
+  v->value.at(0, 0) = loss;
   v->farg = delta;
   detail::FinalizeOp(v, Op::kHuberLoss, {pred});
   return v;
@@ -972,14 +949,10 @@ Var SquaredLoss(const Var& pred, const std::vector<float>& targets) {
   SQLFACIL_CHECK(static_cast<int>(targets.size()) == b);
   Var v = detail::AllocNode();
   v->faux.resize(static_cast<size_t>(b));
-  double loss_sum = 0.0;
-  for (int i = 0; i < b; ++i) {
-    const float r = pred->value.at(i, 0) - targets[i];
-    v->faux[i] = r;
-    loss_sum += 0.5f * r * r;
-  }
+  const float loss = infer::SquaredLoss(pred->value.data(), targets.data(), b,
+                                        v->faux.data());
   v->value.ResetShape({1, 1});
-  v->value.at(0, 0) = static_cast<float>(loss_sum / b);
+  v->value.at(0, 0) = loss;
   detail::FinalizeOp(v, Op::kSquaredLoss, {pred});
   return v;
 }

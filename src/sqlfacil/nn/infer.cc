@@ -6,6 +6,7 @@
 
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/nn/simd_int8.h"
+#include "sqlfacil/util/logging.h"
 
 namespace sqlfacil::nn::infer {
 
@@ -58,10 +59,6 @@ void MaxOverTime(const float* X, int row_begin, int row_end, int k,
   }
 }
 
-void SigmoidInPlace(float* v, size_t n) { simd::SigmoidInPlace(v, n); }
-
-void TanhInPlace(float* v, size_t n) { simd::TanhInPlace(v, n); }
-
 void Int8GatherRows(const uint8_t* qtable, int d, const int* ids, int n,
                     uint8_t* out, int stride) {
   for (int i = 0; i < n; ++i) {
@@ -111,6 +108,53 @@ void SoftmaxInPlace(float* v, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     v[i] = static_cast<float>(v[i] / denom);
   }
+}
+
+float SoftmaxCrossEntropy(const float* logits, int b, int c,
+                          const int* labels, float* probs) {
+  double loss_sum = 0.0;
+  for (int i = 0; i < b; ++i) {
+    SQLFACIL_CHECK(labels[i] >= 0 && labels[i] < c);
+    const float* row = logits + static_cast<size_t>(i) * c;
+    float max_logit = row[0];
+    for (int j = 1; j < c; ++j) max_logit = std::max(max_logit, row[j]);
+    double denom = 0.0;
+    for (int j = 0; j < c; ++j) {
+      denom += std::exp(static_cast<double>(row[j] - max_logit));
+    }
+    float p_label = 0.0f;
+    for (int j = 0; j < c; ++j) {
+      const float p = static_cast<float>(
+          std::exp(static_cast<double>(row[j] - max_logit)) / denom);
+      if (probs != nullptr) probs[static_cast<size_t>(i) * c + j] = p;
+      if (j == labels[i]) p_label = p;
+    }
+    loss_sum -= std::log(std::max(1e-12, static_cast<double>(p_label)));
+  }
+  return static_cast<float>(loss_sum / b);
+}
+
+float HuberLoss(const float* pred, const float* targets, int b, float delta,
+                float* residuals) {
+  double loss_sum = 0.0;
+  for (int i = 0; i < b; ++i) {
+    const float r = pred[i] - targets[i];
+    if (residuals != nullptr) residuals[i] = r;
+    const float ar = std::fabs(r);
+    loss_sum += (ar <= delta) ? 0.5f * r * r : delta * (ar - 0.5f * delta);
+  }
+  return static_cast<float>(loss_sum / b);
+}
+
+float SquaredLoss(const float* pred, const float* targets, int b,
+                  float* residuals) {
+  double loss_sum = 0.0;
+  for (int i = 0; i < b; ++i) {
+    const float r = pred[i] - targets[i];
+    if (residuals != nullptr) residuals[i] = r;
+    loss_sum += 0.5f * r * r;
+  }
+  return static_cast<float>(loss_sum / b);
 }
 
 }  // namespace sqlfacil::nn::infer

@@ -8,11 +8,12 @@
 
 namespace sqlfacil::nn::infer {
 
-/// Graph-free forward kernels for the batched inference fast path. Each
+/// Graph-free forward kernels: the CNN and LSTM models run Predict,
+/// PredictBatch and validation on these, and autograd only to train. Each
 /// kernel performs exactly the per-element operations (and operation order)
-/// of the corresponding autograd op's forward pass, so a fast-path forward
-/// is bit-identical to running the autograd graph — that equivalence is
-/// what the PredictBatch-vs-Predict tests pin down.
+/// of the corresponding autograd op's forward pass, so a graph-free forward
+/// is bit-identical to the graph a training step builds — nn_test pins that
+/// equivalence for the CNN forward.
 
 /// C = A @ B for (m x k) @ (k x n); zeroes C first (the autograd op writes
 /// into a zero-initialized Tensor) and accumulates with the same k-tiled
@@ -35,17 +36,33 @@ void Unfold(const float* in, int t, int d, int window, float* out);
 void MaxOverTime(const float* X, int row_begin, int row_end, int k,
                  float* out);
 
-/// v[i] = 1 / (1 + exp(-v[i])), float exp (nn::Sigmoid forward).
-void SigmoidInPlace(float* v, size_t n);
-
-/// v[i] = tanh(v[i]) (nn::Tanh forward).
-void TanhInPlace(float* v, size_t n);
-
 /// In-place softmax over v[0..n): float max, float exp(v - max), the
 /// denominator accumulated in double, then v = float(v / denom). This is
 /// the exact sequence every model's Predict uses on its logits, shared here
 /// so the fast path and the cache key the same numbers.
 void SoftmaxInPlace(float* v, size_t n);
+
+// --- Loss values ------------------------------------------------------------
+// The one definition of each loss's value: the autograd loss ops report it
+// as their forward, and validation scores logits with it directly. Each
+// returns float(sum of per-row losses in double / b).
+
+/// Mean softmax cross-entropy of `b` rows of `c` logits against `labels`:
+/// per row, probabilities float(exp(double(l - max)) / denom) with the
+/// denominator summed in double, then -log(max(1e-12, p[label])). `probs`
+/// (b x c), when non-null, receives the probabilities.
+float SoftmaxCrossEntropy(const float* logits, int b, int c,
+                          const int* labels, float* probs);
+
+/// Mean Huber loss of `b` scalar predictions: r = pred - target,
+/// 0.5 r^2 inside `delta`, delta (|r| - 0.5 delta) outside. `residuals`,
+/// when non-null, receives r.
+float HuberLoss(const float* pred, const float* targets, int b, float delta,
+                float* residuals);
+
+/// Mean 0.5 r^2 of `b` scalar predictions; `residuals` as in HuberLoss.
+float SquaredLoss(const float* pred, const float* targets, int b,
+                  float* residuals);
 
 // --- Int8 tier wrappers (nn/quant.h scheme, nn/simd_int8.h kernels) --------
 

@@ -274,7 +274,7 @@ TEST(QuantTest, LstmInt8BitIdenticalAcrossThreadsAndSimd) {
                                 " simd=" + std::to_string(simd_on));
     }
   }
-  // The single-query bypass is bit-identical to the batched path.
+  // Predict (a batch of one) is bit-identical to the batched path.
   for (size_t i = 0; i < valid.size(); ++i) {
     const auto one = model.Predict(valid.statements[i], 0.0);
     ASSERT_EQ(one.size(), ref[i].size());
@@ -365,6 +365,58 @@ TEST(QuantTest, CnnInt8BitIdenticalAcrossThreadsAndSimdAndCloseToFp32) {
   }
   EXPECT_LT(sum_abs / count, 0.05) << "mean |dp| too large";
   EXPECT_LT(max_abs, 0.25) << "max |dp| too large";
+}
+
+// Validation scores the fp32 weights being trained whatever tier serves:
+// after the first fit a model already holds an int8 tier, and a re-fit or
+// fine-tune scored through it would pick best epochs from stale weights.
+// The per-epoch ValidLoss trajectory must not depend on the active tier.
+TEST(QuantTest, ValidHistoryIndependentOfActivePrecision) {
+  PrecisionGuard prec_guard;
+  ThreadPool::SetGlobalThreads(2);
+  const Dataset train = SyntheticClassification(48, 61);
+  const Dataset valid = SyntheticClassification(20, 62);
+  const Dataset train2 = SyntheticClassification(32, 63);
+  const Dataset valid2 = SyntheticClassification(16, 64);
+  using History = std::vector<double>;
+  auto cnn_histories = [&](nn::quant::Precision p) {
+    nn::quant::SetActivePrecision(p);
+    models::CnnModel::Config config;
+    config.embed_dim = 8;
+    config.kernels_per_width = 8;
+    config.epochs = 2;
+    models::CnnModel model(config);
+    Rng rng(7);
+    model.Fit(train, valid, &rng);
+    EXPECT_TRUE(model.quantized());
+    const History fit = model.valid_history();
+    model.FineTune(train2, valid2, 2, &rng);
+    return std::pair<History, History>(fit, model.valid_history());
+  };
+  auto lstm_histories = [&](nn::quant::Precision p) {
+    nn::quant::SetActivePrecision(p);
+    models::LstmModel::Config config;
+    config.embed_dim = 8;
+    config.hidden_dim = 16;
+    config.num_layers = 2;
+    config.epochs = 2;
+    models::LstmModel model(config);
+    Rng rng(7);
+    model.Fit(train, valid, &rng);
+    EXPECT_TRUE(model.quantized());
+    const History first = model.valid_history();
+    model.Fit(train2, valid2, &rng);
+    return std::pair<History, History>(first, model.valid_history());
+  };
+  const auto cnn_fp32 = cnn_histories(nn::quant::Precision::kFp32);
+  const auto cnn_int8 = cnn_histories(nn::quant::Precision::kInt8);
+  EXPECT_EQ(cnn_fp32.first, cnn_int8.first) << "ccnn Fit";
+  EXPECT_EQ(cnn_fp32.second, cnn_int8.second) << "ccnn FineTune";
+  const auto lstm_fp32 = lstm_histories(nn::quant::Precision::kFp32);
+  const auto lstm_int8 = lstm_histories(nn::quant::Precision::kInt8);
+  EXPECT_EQ(lstm_fp32.first, lstm_int8.first) << "clstm first Fit";
+  EXPECT_EQ(lstm_fp32.second, lstm_int8.second) << "clstm second Fit";
+  ThreadPool::SetGlobalThreads(1);
 }
 
 // --- checkpoint tests ------------------------------------------------------

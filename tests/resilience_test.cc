@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -16,9 +17,12 @@
 #include "sqlfacil/core/model_zoo.h"
 #include "sqlfacil/models/baselines.h"
 #include "sqlfacil/models/checkpoint.h"
+#include "sqlfacil/models/cnn_model.h"
+#include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/multitask_model.h"
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/tfidf_model.h"
+#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/serving/resilient_model.h"
 #include "sqlfacil/engine/catalog.h"
@@ -138,6 +142,45 @@ TEST(FailpointTest, MalformedEntriesAreSkippedNotFatal) {
   failpoint::ScopedFailpoints fp("bad_no_mode;x:nonsense;ok:error");
   EXPECT_EQ(failpoint::Eval("ok"), failpoint::Mode::kError);
   EXPECT_EQ(failpoint::Eval("x"), failpoint::Mode::kOff);
+}
+
+// Predict is a batch of one on every tier, so a model.predict fault reaches
+// single-query callers exactly as it reaches batched ones.
+TEST(FailpointTest, PredictFailsLikePredictBatchOnEveryTier) {
+  const nn::quant::Precision saved = nn::quant::ActivePrecision();
+  const Dataset train = SyntheticClassification(24, 71);
+  models::CnnModel::Config cnn_config;
+  cnn_config.embed_dim = 4;
+  cnn_config.kernels_per_width = 4;
+  cnn_config.epochs = 1;
+  models::CnnModel cnn(cnn_config);
+  models::LstmModel::Config lstm_config;
+  lstm_config.embed_dim = 4;
+  lstm_config.hidden_dim = 8;
+  lstm_config.num_layers = 1;
+  lstm_config.epochs = 1;
+  models::LstmModel lstm(lstm_config);
+  Rng rng(7);
+  cnn.Fit(train, train, &rng);
+  lstm.Fit(train, train, &rng);
+  ASSERT_TRUE(cnn.quantized());
+  ASSERT_TRUE(lstm.quantized());
+  const std::vector<std::string> one = {train.statements[0]};
+  for (auto precision :
+       {nn::quant::Precision::kFp32, nn::quant::Precision::kInt8}) {
+    nn::quant::SetActivePrecision(precision);
+    for (const models::Model* model :
+         std::initializer_list<const models::Model*>{&cnn, &lstm}) {
+      const std::string where = model->name() + " " +
+                                nn::quant::PrecisionName(precision);
+      failpoint::ScopedFailpoints fp("model.predict:throw");
+      EXPECT_THROW(model->PredictBatch(one), failpoint::FailpointError)
+          << where;
+      EXPECT_THROW(model->Predict(one[0], 0.0), failpoint::FailpointError)
+          << where;
+    }
+  }
+  nn::quant::SetActivePrecision(saved);
 }
 
 // --- Checkpoint framing ----------------------------------------------------
@@ -360,6 +403,52 @@ TEST_F(CheckpointCorruptionTest, LegacyV1UnframedCheckpointStillLoads) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string q = "SELECT COUNT(*) FROM photoobj WHERE objid = 3";
   EXPECT_EQ((*loaded)->Predict(q, 0.0), model->Predict(q, 0.0));
+}
+
+// Legacy v1 files carry no CRC, so the model readers are their only check.
+// A header dimension patched out of step with the stored tensors (a ccnn
+// `outputs` of 64 over a two-class head once loaded OK and sent the next
+// PredictBatch out of bounds) must load as kCorruptCheckpoint.
+TEST_F(CheckpointCorruptionTest, LegacyV1HeaderOutOfStepWithTensorsRejected) {
+  for (const std::string name : {"ccnn", "clstm"}) {
+    auto parsed = models::ParseCheckpoint(ReadFile(SaveTrained(name)));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const std::string& payload = parsed->payload;
+    // The payload is the file tag, the model name and the model tag (each a
+    // u64 length + bytes), then the model's i32 header: kind, outputs,
+    // granularity, embed_dim, then kernels per width (ccnn) or the hidden
+    // width (clstm).
+    const std::string file_tag = "sqlfacil_model.v1";
+    const std::string model_tag =
+        name == "ccnn" ? "cnn_model.v2" : "lstm_model.v2";
+    const size_t header = 3 * sizeof(uint64_t) + file_tag.size() +
+                          name.size() + model_tag.size();
+    ASSERT_EQ(payload.substr(header - model_tag.size(), model_tag.size()),
+              model_tag);
+    auto field = [&](int index) {
+      int32_t v = 0;
+      std::memcpy(&v, payload.data() + header + 4 * index, sizeof(v));
+      return v;
+    };
+    const std::vector<std::pair<int, int32_t>> patches = {
+        {0, 2},                                         // kind
+        {1, 64}, {1, 0}, {1, field(1) + 1},             // outputs
+        {3, field(3) + 1}, {3, 0},                      // embed_dim
+        {4, field(4) + 1}, {4, -3}};                    // kernels / hidden
+    const std::string path = testing::TempDir() + "/legacy_patched.bin";
+    for (const auto& [index, value] : patches) {
+      std::string patched = payload;
+      std::memcpy(patched.data() + header + 4 * index, &value, sizeof(value));
+      WriteFile(path, patched);
+      auto loaded = core::LoadModelFromFile(path, config_);
+      ASSERT_FALSE(loaded.ok())
+          << name << " field " << index << " = " << value << " loaded OK";
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptCheckpoint)
+          << name << " field " << index << " = " << value << ": "
+          << loaded.status().ToString();
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CheckpointCorruptionTest, WriteFailpointLeavesExistingFileIntact) {

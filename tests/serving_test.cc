@@ -848,8 +848,9 @@ TEST(ServerTest, BatchedRepliesBitIdenticalToDirectPredict) {
 }
 
 // Short concurrency soak: many clients, stats polling, cache churn. Run
-// under TSan in CI (scripts/check_tsan.sh) to prove the serving path —
-// admission queue, batcher, per-shard stats, cache counters — is race-free.
+// under TSan in CI (scripts/check_sanitizer.sh thread) to prove the serving
+// path — admission queue, batcher, per-shard stats, cache counters — is
+// race-free.
 TEST(ServerSoakTest, ConcurrentClientsAndStatsPollingAreClean) {
   const Dataset train = SyntheticClassification(32, 33);
   models::TfidfModel::Config config;

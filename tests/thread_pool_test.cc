@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sqlfacil {
@@ -160,6 +161,12 @@ TEST(ThreadPoolTest, ThrowingTaskDoesNotKillWorkerOrProcess) {
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                             [&] { return completed.load() == 3; }));
+  }
+  // The other worker can finish the signals while the last throwing task
+  // is still unwinding toward its count, so wait (bounded) for the count
+  // instead of sampling it once.
+  for (int ms = 0; ms < 30000 && pool.uncaught_task_errors() < 4; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(pool.uncaught_task_errors(), 4u);
   // Still reusable after the failures.
