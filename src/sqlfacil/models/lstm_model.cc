@@ -33,8 +33,9 @@ void Restore(const std::vector<nn::Var>& params,
   for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
 }
 
-/// Length bucketing as in Fit: a stable sort by encoded length so buckets
-/// of `bucket` sequences carry minimal padding (a single bucket skips it).
+/// Length bucketing as in Fit: a stable sort by encoded length, then
+/// buckets of `bucket` sequences, so every bucket (a single one too) holds
+/// its rows in ascending length order, the order BucketLogits steps on.
 /// Runs `fn(seqs, idx, batch, arena)` per bucket — seqs[i] is statement
 /// idx[i] — and resets the per-thread arena after each. Every row computes
 /// from its own state only, so results do not depend on the partition.
@@ -46,11 +47,9 @@ void ForEachBucket(const std::vector<std::vector<int>>& encoded, int bucket,
   const size_t num_buckets = (n + size - 1) / size;
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  if (num_buckets > 1) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return encoded[a].size() < encoded[b].size();
-    });
-  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return encoded[a].size() < encoded[b].size();
+  });
   auto run = [&](size_t bb, size_t be) {
     nn::Arena& arena = nn::ThreadLocalArena();
     thread_local std::vector<const std::vector<int>*> seqs;
@@ -468,81 +467,69 @@ void LstmModel::BucketLogits(const std::vector<int>* const* seqs, int batch,
   const int d = config_.embed_dim;
   const int hidden = config_.hidden_dim;
   const int layers = static_cast<int>(stack_.layers.size());
-  size_t max_len = 1;
-  for (int b = 0; b < batch; ++b) max_len = std::max(max_len, seqs[b]->size());
+  const size_t max_len = seqs[batch - 1]->size();
 
   // Step workspace, allocated once and reused across every (t, layer) pair
   // so the arena high-water mark is independent of sequence length.
   float* x = arena->Alloc(static_cast<size_t>(batch) * d);
   float* gx = arena->Alloc(static_cast<size_t>(batch) * 4 * hidden);
-  // Double-buffered per-layer state (prev / next swap each step).
-  thread_local std::vector<float*> h_prev, h_next, c_prev, c_next;
-  h_prev.assign(layers, nullptr);
-  h_next.assign(layers, nullptr);
-  c_prev.assign(layers, nullptr);
-  c_next.assign(layers, nullptr);
+  // Per-layer state, updated in place: LstmGates reads a layer's h rows
+  // before the cell overwrites them, and each row's c is read then written
+  // element by element.
+  thread_local std::vector<float*> h, c;
+  h.resize(layers);
+  c.resize(layers);
   const size_t state_floats = static_cast<size_t>(batch) * hidden;
   for (int l = 0; l < layers; ++l) {
-    h_prev[l] = arena->AllocZero(state_floats);
-    h_next[l] = arena->Alloc(state_floats);
-    c_prev[l] = arena->AllocZero(state_floats);
-    c_next[l] = arena->Alloc(state_floats);
+    h[l] = arena->AllocZero(state_floats);
+    c[l] = arena->AllocZero(state_floats);
   }
-  thread_local std::vector<int> step_ids;
-  step_ids.assign(batch, -1);
+  const float* table = embedding_.table->value.data();
 
+  // Rows ascend by length, so the rows still reading tokens at step t are
+  // [first, batch); a finished row keeps its final state untouched.
+  int first = 0;
   for (size_t t = 0; t < max_len; ++t) {
-    for (int b = 0; b < batch; ++b) {
-      const auto& ids = *seqs[b];
-      step_ids[b] = t < ids.size() ? ids[t] : -1;
+    while (seqs[first]->size() <= t) ++first;
+    for (int b = first; b < batch; ++b) {
+      std::copy_n(table + static_cast<size_t>((*seqs[b])[t]) * d, d,
+                  x + static_cast<size_t>(b) * d);
     }
-    nn::infer::GatherRows(embedding_.table->value.data(), d, step_ids.data(),
-                          batch, x);
     const float* input = x;
     int input_dim = d;
     for (int l = 0; l < layers; ++l) {
       const auto& layer = stack_.layers[l];
       // Gate pre-activations in one register-resident sweep:
-      // gx = x @ Wx + bias + h_prev @ Wh (same term order as the training
-      // fast path's forward).
+      // gx = x @ Wx + bias + h @ Wh (same term order as the training fast
+      // path's forward).
       nn::simd::LstmGates(input, layer.input_map.weight->value.data(),
-                          layer.input_map.bias->value.data(), h_prev[l],
-                          layer.hidden_map.weight->value.data(), gx, 0, batch,
-                          input_dim, hidden, 4 * hidden);
-      for (int b = 0; b < batch; ++b) {
-        float* h_out = h_next[l] + static_cast<size_t>(b) * hidden;
-        float* c_out = c_next[l] + static_cast<size_t>(b) * hidden;
-        const float* h_in = h_prev[l] + static_cast<size_t>(b) * hidden;
-        const float* c_in = c_prev[l] + static_cast<size_t>(b) * hidden;
-        if (t >= seqs[b]->size()) {
-          // Padded row: state carries over.
-          std::copy(h_in, h_in + hidden, h_out);
-          std::copy(c_in, c_in + hidden, c_out);
-          continue;
-        }
+                          layer.input_map.bias->value.data(), h[l],
+                          layer.hidden_map.weight->value.data(), gx, first,
+                          batch, input_dim, hidden, 4 * hidden);
+      for (int b = first; b < batch; ++b) {
+        float* h_row = h[l] + static_cast<size_t>(b) * hidden;
+        float* c_row = c[l] + static_cast<size_t>(b) * hidden;
         // Gate order [update, forget, output, candidate], matching
         // SplitGates.
         float* row = gx + static_cast<size_t>(b) * 4 * hidden;
         nn::simd::SigmoidInPlace(row, 3 * static_cast<size_t>(hidden));
         nn::simd::TanhInPlace(row + 3 * hidden, hidden);
         nn::simd::LstmCellForward(row, row + hidden, row + 2 * hidden,
-                                  row + 3 * hidden, c_in, c_out, h_out,
+                                  row + 3 * hidden, c_row, c_row, h_row,
                                   static_cast<size_t>(hidden));
         if (max_abs_h != nullptr) {
           for (int j = 0; j < hidden; ++j) {
-            const float a = std::fabs(h_out[j]);
+            const float a = std::fabs(h_row[j]);
             if (a > *max_abs_h) *max_abs_h = a;
           }
         }
       }
-      std::swap(h_prev[l], h_next[l]);
-      std::swap(c_prev[l], c_next[l]);
-      input = h_prev[l];
+      input = h[l];
       input_dim = hidden;
     }
   }
 
-  nn::infer::MatMul(h_prev[layers - 1], head_.weight->value.data(), logits,
+  nn::infer::MatMul(h[layers - 1], head_.weight->value.data(), logits,
                     batch, hidden, outputs_);
   nn::infer::BiasAdd(logits, head_.bias->value.data(), batch, outputs_);
 }

@@ -51,11 +51,13 @@ class LstmModel : public Model {
   std::vector<float> Predict(const std::string& statement,
                              double opt_cost) const override;
   /// Batched fast path: queries are length-bucketed (stable sort by encoded
-  /// length, fixed bucket size) so padding work is minimal, and each bucket
-  /// runs a fused graph-free forward with all temporaries in a per-thread
-  /// arena. Predict is a batch of one; the bucket partition never changes a
-  /// result because every step kernel is row-independent and padded rows
-  /// keep their state.
+  /// length, fixed bucket size), so every bucket holds its rows in
+  /// ascending length order, and each bucket runs a fused graph-free
+  /// forward with all temporaries in a per-thread arena. Each step computes
+  /// only the rows still reading tokens and updates their state in place,
+  /// so no padded step is ever computed. Predict is a batch of one; the
+  /// bucket partition never changes a result because every step kernel is
+  /// row-independent and a finished row's state is never touched again.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -83,12 +85,15 @@ class LstmModel : public Model {
                : config_.max_len_word;
   }
   /// The graph-free forward of one bucket up to the logits: seqs[0..batch)
-  /// are encoded statements (>= 1 token each), and the (batch x outputs_)
-  /// row-major logits land in `logits`; temporaries come from `arena`
-  /// (caller resets it). The int8 tier (quant_ must be ready) runs
-  /// nn::LstmInt8Forward. When `max_abs_h` is non-null, the fp32 forward
-  /// also accumulates max|h| over every active hidden state (all layers,
-  /// all steps) — the int8 tier's activation calibration.
+  /// are encoded statements (>= 1 token each) in ascending length order
+  /// (ForEachBucket's order), and the (batch x outputs_) row-major logits
+  /// land in `logits`; temporaries come from `arena` (caller resets it).
+  /// Step t runs the embedding gather, gates and cell only over the rows
+  /// [first, batch) whose length exceeds t, updating each layer's h/c in
+  /// place. The int8 tier (quant_ must be ready) runs nn::LstmInt8Forward
+  /// under the same contract. When `max_abs_h` is non-null, the fp32
+  /// forward also accumulates max|h| over every computed hidden state (all
+  /// layers, all steps) — the int8 tier's activation calibration.
   void BucketLogits(const std::vector<int>* const* seqs, int batch, bool int8,
                     nn::Arena* arena, float* logits,
                     float* max_abs_h = nullptr) const;

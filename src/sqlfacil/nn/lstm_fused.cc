@@ -390,19 +390,16 @@ void LstmInt8Forward(const QuantLstmStack& q,
   const int gates = 4 * hidden;
   const int layers = q.num_layers;
   const float inv_hidden_scale = 1.0f / q.hidden_scale;
-  size_t max_len = 1;
-  for (int b = 0; b < batch; ++b) {
-    max_len = std::max(max_len, seqs[b]->size());
-  }
+  const size_t max_len = seqs[batch - 1]->size();
 
   auto alloc_bytes = [&](size_t bytes) {
     return reinterpret_cast<uint8_t*>(arena->Alloc((bytes + 3) / 4));
   };
 
-  // Persistent per-layer state: fp32 cell (updated in place — padded rows
-  // simply skip the update, which carries their state) and the u8 hidden
-  // bytes. Initial h = 0 quantizes to the zero point 128 exactly, so the
-  // byte slabs start at 128 everywhere (including the quad-dot tail pad).
+  // Persistent per-layer state, updated in place: the fp32 cell and the u8
+  // hidden bytes. Initial h = 0 quantizes to the zero point 128 exactly, so
+  // the byte slabs start at 128 everywhere (including the quad-dot tail
+  // pad).
   const int hq_stride = 4 * q.wh0.k4;          // layer-0 GEMV row bytes
   const int cat_stride = q.wcat.empty() ? 2 * hidden : 4 * q.wcat[0].k4;
   thread_local std::vector<float*> c_state;
@@ -426,24 +423,27 @@ void LstmInt8Forward(const QuantLstmStack& q,
                 static_cast<size_t>(batch) * cat_stride);
   }
 
+  // Rows ascend by length, so the rows still reading tokens at step t are
+  // [first, batch); a finished row keeps its final state untouched.
+  size_t first = 0;
+  const size_t end = static_cast<size_t>(batch);
   for (size_t t = 0; t < max_len; ++t) {
+    while (seqs[first]->size() <= t) ++first;
     for (int l = 0; l < layers; ++l) {
       const quant::QuantizedTensor& w = l == 0 ? q.wh0 : q.wcat[l - 1];
       const float* bias_row;
       size_t bias_stride;
       if (l == 0) {
-        // Gather the exact token -> gate rows; padded rows reuse row 0
-        // (their gates are never read — the cell update skips them).
-        if (batch == 1) {
-          const auto& ids = *seqs[0];
-          const int id = t < ids.size() ? ids[t] : 0;
+        // The exact token -> gate rows: read in place when one row is
+        // active (a broadcast base row), gathered otherwise.
+        if (first + 1 == end) {
+          const int id = (*seqs[first])[t];
           bias_row = q.x_table.data() + static_cast<size_t>(id) * gates;
           bias_stride = 0;
         } else {
-          for (int b = 0; b < batch; ++b) {
-            const auto& ids = *seqs[b];
-            const int id = t < ids.size() ? ids[t] : 0;
-            std::memcpy(base + static_cast<size_t>(b) * gates,
+          for (size_t b = first; b < end; ++b) {
+            const int id = (*seqs[b])[t];
+            std::memcpy(base + b * gates,
                         q.x_table.data() + static_cast<size_t>(id) * gates,
                         static_cast<size_t>(gates) * sizeof(float));
           }
@@ -452,40 +452,36 @@ void LstmInt8Forward(const QuantLstmStack& q,
         }
         simd::Int8GemmRowsNoSat(h_q[0], static_cast<size_t>(hq_stride),
                                 w.packed.data(), w.k4, w.n_pad, acc, w.n_pad,
-                                0, static_cast<size_t>(batch));
+                                first, end);
       } else {
         // Concatenate [h_below(t), h_prev(t-1)]: h_q[l - 1] was updated
         // this step by the layer below, h_q[l] still holds t - 1.
-        for (int b = 0; b < batch; ++b) {
-          uint8_t* row = cat_q + static_cast<size_t>(b) * cat_stride;
-          std::memcpy(row, h_q[l - 1] + static_cast<size_t>(b) * hq_stride,
+        for (size_t b = first; b < end; ++b) {
+          uint8_t* row = cat_q + b * cat_stride;
+          std::memcpy(row, h_q[l - 1] + b * hq_stride,
                       static_cast<size_t>(hidden));
-          std::memcpy(row + hidden,
-                      h_q[l] + static_cast<size_t>(b) * hq_stride,
+          std::memcpy(row + hidden, h_q[l] + b * hq_stride,
                       static_cast<size_t>(hidden));
         }
         bias_row = q.bias[l - 1].data();
         bias_stride = 0;
         simd::Int8GemmRowsNoSat(cat_q, static_cast<size_t>(cat_stride),
                                 w.packed.data(), w.k4, w.n_pad, acc, w.n_pad,
-                                0, static_cast<size_t>(batch));
+                                first, end);
       }
       simd::Int8DequantRows(acc, w.n_pad, w.col_corr.data(),
                             q.hidden_scale * w.scale, bias_row, bias_stride,
-                            gx, static_cast<size_t>(gates), 0,
-                            static_cast<size_t>(batch), gates);
-      for (int b = 0; b < batch; ++b) {
-        if (t >= seqs[b]->size()) continue;  // padded: state carries
-        float* row = gx + static_cast<size_t>(b) * gates;
-        float* c = c_state[l] + static_cast<size_t>(b) * hidden;
+                            gx, static_cast<size_t>(gates), first, end, gates);
+      for (size_t b = first; b < end; ++b) {
+        float* row = gx + b * gates;
+        float* c = c_state[l] + b * hidden;
         simd::SigmoidInPlace(row, 3 * static_cast<size_t>(hidden));
         simd::TanhInPlace(row + 3 * hidden, hidden);
         simd::LstmCellForward(row, row + hidden, row + 2 * hidden,
                               row + 3 * hidden, c, c, h_out,
                               static_cast<size_t>(hidden));
         simd::Int8Quantize(h_out, static_cast<size_t>(hidden),
-                           inv_hidden_scale,
-                           h_q[l] + static_cast<size_t>(b) * hq_stride);
+                           inv_hidden_scale, h_q[l] + b * hq_stride);
       }
     }
   }

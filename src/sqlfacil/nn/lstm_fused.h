@@ -82,10 +82,12 @@ QuantLstmStack BuildQuantLstmStack(const Tensor& embedding,
                                    int outputs, float hidden_scale);
 
 /// Graph-free int8 forward over a bucket: seqs[b] is query b's encoded ids
-/// (>= 1 token each; ids within the length are non-negative). Writes logits
-/// (batch x outputs, row-major) into `logits`; all temporaries come from
-/// `arena` (caller resets it). Row b depends only on seqs[b], so any bucket
-/// partition is bit-identical.
+/// (>= 1 token each; ids within the length are non-negative), with the
+/// rows in ascending length order. Step t computes only the rows whose
+/// length exceeds t (a suffix of the bucket) and updates their state in
+/// place. Writes logits (batch x outputs, row-major) into `logits`; all
+/// temporaries come from `arena` (caller resets it). Row b depends only on
+/// seqs[b], so any bucket partition is bit-identical.
 void LstmInt8Forward(const QuantLstmStack& q,
                      const std::vector<int>* const* seqs, int batch,
                      Arena* arena, float* logits);

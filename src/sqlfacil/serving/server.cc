@@ -79,14 +79,18 @@ bool Server::Submit(std::string statement, double opt_cost,
   // Move the callback back out on rejection: TryPush only consumes the
   // request when it admits it.
   ReplyCallback cb = req.done;
+  // Counted before the push: once queued, the batcher may complete the
+  // request before this thread runs again, and no stats snapshot may show
+  // more completed than accepted requests. A rejection takes it back.
+  accepted_.fetch_add(1, std::memory_order_relaxed);
   if (!shard.queue.TryPush(std::move(req))) {
+    accepted_.fetch_sub(1, std::memory_order_relaxed);
     rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
     ServerReply reply;
     reply.status = Status::ResourceExhausted("admission queue full");
     cb(std::move(reply));
     return false;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -210,7 +214,6 @@ void Server::Shutdown() {
 
 Server::Stats Server::GetStats() const {
   Stats stats;
-  stats.accepted = accepted_.load(std::memory_order_relaxed);
   stats.rejected_queue_full =
       rejected_queue_full_.load(std::memory_order_relaxed);
   stats.rejected_unavailable =
@@ -242,6 +245,9 @@ Server::Stats Server::GetStats() const {
     stats.breaker.half_opens += transitions.half_opens;
     stats.breaker.closes += transitions.closes;
   }
+  // Read after the shard counters: a request is counted as accepted before
+  // the queue hands it to a batcher, so this sees every completed one.
+  stats.accepted = accepted_.load(std::memory_order_relaxed);
   stats.mean_batch_size =
       stats.batches == 0
           ? 0.0

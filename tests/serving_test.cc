@@ -256,38 +256,61 @@ TEST(PredictBatchTest, LstmMatchesPredict) {
 }
 
 TEST(PredictBatchTest, LstmEdgeCases) {
+  const auto saved = nn::quant::ActivePrecision();
   const Dataset train = SyntheticClassification(30, 8);
-  models::LstmModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  config.embed_dim = 4;
-  config.hidden_dim = 8;
-  config.num_layers = 1;
-  config.epochs = 1;
-  config.batch_size = 4;
-  models::LstmModel model(config);
-  Rng rng(7);
-  model.Fit(train, train, &rng);
+  // One word-level layer, and the shipped clstm depth: three char-level
+  // layers, each updating its state in place.
+  models::LstmModel::Config word;
+  word.granularity = sql::Granularity::kWord;
+  word.embed_dim = 4;
+  word.hidden_dim = 8;
+  word.num_layers = 1;
+  word.epochs = 1;
+  word.batch_size = 4;
+  word.max_len_word = 8;
+  models::LstmModel::Config chars = word;
+  chars.granularity = sql::Granularity::kChar;
+  chars.num_layers = 3;
+  chars.max_len_char = 40;
 
-  // Empty batch.
-  EXPECT_TRUE(model.PredictBatch(std::vector<std::string>{}).empty());
-
-  // Single query.
-  const std::vector<std::string> one = {train.statements[0]};
-  ExpectBitIdentical(model.PredictBatch(one), PredictLoop(model, one));
-
-  // Mixed lengths: empty statement (pads to <UNK>), a single token, and
-  // wildly different lengths in one batch to force uneven buckets and
-  // state-carrying padded rows.
-  std::vector<std::string> mixed = {
-      "",
-      "SELECT",
+  const std::string long_a =
       "SELECT COUNT(*) FROM photoobj WHERE objid = 1 AND ra > 0 AND "
-      "dec < 10 ORDER BY objid",
-      "SELECT ra FROM specobj",
+      "dec < 10 ORDER BY objid";
+  const std::string long_b =
       "SELECT ra, dec, objid, specobjid FROM specobj WHERE specobjid = 99 "
-      "AND ra BETWEEN 1 AND 2 AND dec BETWEEN 3 AND 4",
-  };
-  ExpectBitIdentical(model.PredictBatch(mixed), PredictLoop(model, mixed));
+      "AND ra BETWEEN 1 AND 2 AND dec BETWEEN 3 AND 4";
+  const std::vector<std::string> one = {train.statements[0]};
+  // Mixed lengths: empty statement (pads to <UNK>), a single token, and
+  // wildly different lengths in one batch to force uneven buckets.
+  const std::vector<std::string> mixed = {"", "SELECT", long_a,
+                                          "SELECT ra FROM specobj", long_b};
+  // More rows than batch_size: equal-length ties (same length, different
+  // text) and statements cut at max_len, which tie at the cap.
+  const std::vector<std::string> ties = {
+      "SELECT a FROM t", long_a, "SELECT b FROM t", "SELECT c FROM u", long_b,
+      "", "SELECT d FROM v", long_a + " DESC", "SELECT a FROM t", "SELECT"};
+  // One bucket given longest first: the forward needs ascending lengths,
+  // so even a single bucket is sorted.
+  const std::vector<std::string> unsorted = {long_b, "SELECT ra FROM specobj",
+                                             "SELECT", ""};
+
+  for (const auto& config : {word, chars}) {
+    models::LstmModel model(config);
+    Rng rng(7);
+    model.Fit(train, train, &rng);
+    EXPECT_TRUE(model.quantized());
+    for (const auto tier :
+         {nn::quant::Precision::kFp32, nn::quant::Precision::kInt8}) {
+      SCOPED_TRACE(model.name() + " " + nn::quant::PrecisionName(tier));
+      nn::quant::SetActivePrecision(tier);
+      EXPECT_TRUE(model.PredictBatch(std::vector<std::string>{}).empty());
+      for (const auto* batch : {&one, &mixed, &ties, &unsorted}) {
+        ExpectBitIdentical(model.PredictBatch(*batch),
+                           PredictLoop(model, *batch));
+      }
+    }
+  }
+  nn::quant::SetActivePrecision(saved);
 }
 
 TEST(PredictBatchTest, BitIdenticalAcrossThreadCounts) {
