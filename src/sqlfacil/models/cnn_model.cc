@@ -173,11 +173,11 @@ const float* CnnModel::SliceLogits(
     // columns, so the concat of pooled widths needs no extra copy.
     for (size_t q = qb, row = 0; q < qe; ++q) {
       const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
-      nn::infer::MaxOverTime(
-          conv_out, static_cast<int>(row), static_cast<int>(row) + rows_q,
-          kernels,
+      nn::simd::MaxOverTime(
+          conv_out, row, row + static_cast<size_t>(rows_q), kernels,
           features + (q - qb) * static_cast<size_t>(feat_dim) +
-              w * static_cast<size_t>(kernels));
+              w * static_cast<size_t>(kernels),
+          nullptr);
       row += static_cast<size_t>(rows_q);
     }
   }

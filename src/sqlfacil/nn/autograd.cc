@@ -189,10 +189,10 @@ void MatMulBackward(Variable& node) {
                       });
   }
   if (b->requires_grad) {
-    // dB = A^T @ G. The serial path keeps the cache-friendly i-outer saxpy;
-    // the parallel path partitions rows of dB (transposed walk of A). Both
-    // accumulate each dB element over i ascending, so results are
-    // bit-identical regardless of which path runs.
+    // dB = A^T @ G: one MatMulGradBRows call over every row of dB, or
+    // chunks of dB rows in parallel. Each dB element accumulates over i
+    // ascending in any chunk, so results are bit-identical regardless of
+    // which path runs.
     float* dB = b->EnsureGrad().data();
     const float* A = a->value.data();
     const size_t kk_grain = MatMulBwdRowGrain(m, n);
@@ -408,17 +408,16 @@ void UnfoldBackward(Variable& node) {
   const int window = node.iarg0;
   const int d = a->value.cols();
   const int out_rows = node.value.rows();
-  // Scatter: input row r receives from up to `window` output rows —
-  // overlapping writes, so this stays serial.
-  Tensor& dA = a->EnsureGrad();
+  // Scatter: output row i covers the window*d contiguous input floats from
+  // row i on, and input row r receives from up to `window` output rows —
+  // overlapping writes, so this stays serial (i ascending fixes each input
+  // element's accumulation order).
+  float* dA = a->EnsureGrad().data();
+  const size_t row_floats = static_cast<size_t>(window) * d;
   for (int i = 0; i < out_rows; ++i) {
-    for (int w = 0; w < window; ++w) {
-      simd::AddAcc(dA.data() + static_cast<size_t>(i + w) * d,
-                   node.grad.data() +
-                       static_cast<size_t>(i) * (window * d) +
-                       static_cast<size_t>(w) * d,
-                   static_cast<size_t>(d));
-    }
+    simd::AddAcc(dA + static_cast<size_t>(i) * d,
+                 node.grad.data() + static_cast<size_t>(i) * row_floats,
+                 row_floats);
   }
 }
 
@@ -780,19 +779,9 @@ Var MaxOverTime(const Var& a) {
   SQLFACIL_CHECK(t >= 1);
   Var v = detail::AllocNode();
   v->value.ResetShape({1, k});
-  v->iaux.assign(static_cast<size_t>(k), 0);
-  for (int j = 0; j < k; ++j) {
-    float best = a->value.at(0, j);
-    int best_i = 0;
-    for (int i = 1; i < t; ++i) {
-      if (a->value.at(i, j) > best) {
-        best = a->value.at(i, j);
-        best_i = i;
-      }
-    }
-    v->value.at(0, j) = best;
-    v->iaux[j] = best_i;
-  }
+  v->iaux.resize(static_cast<size_t>(k));
+  simd::MaxOverTime(a->value.data(), 0, static_cast<size_t>(t), k,
+                    v->value.data(), v->iaux.data());
   detail::FinalizeOp(v, Op::kMaxOverTime, {a});
   return v;
 }
@@ -854,20 +843,7 @@ Var Unfold(const Var& a, int window) {
   const int out_rows = t - window + 1;
   Var v = detail::AllocNode();
   v->value.ResetShape({out_rows, window * d});
-  Tensor& out = v->value;
-  const size_t row_grain = std::max<size_t>(
-      1, kElementwiseGrain / std::max(1, window * d));
-  ParallelFor(0, static_cast<size_t>(out_rows), row_grain,
-              [&](size_t rb, size_t re) {
-                for (size_t i = rb; i < re; ++i) {
-                  const int r = static_cast<int>(i);
-                  for (int w = 0; w < window; ++w) {
-                    for (int j = 0; j < d; ++j) {
-                      out.at(r, w * d + j) = a->value.at(r + w, j);
-                    }
-                  }
-                }
-              });
+  infer::Unfold(a->value.data(), t, d, window, v->value.data());
   v->iarg0 = window;
   detail::FinalizeOp(v, Op::kUnfold, {a});
   return v;

@@ -47,18 +47,6 @@ void Unfold(const float* in, int t, int d, int window, float* out) {
   }
 }
 
-void MaxOverTime(const float* X, int row_begin, int row_end, int k,
-                 float* out) {
-  std::memcpy(out, X + static_cast<size_t>(row_begin) * k,
-              static_cast<size_t>(k) * sizeof(float));
-  for (int i = row_begin + 1; i < row_end; ++i) {
-    const float* row = X + static_cast<size_t>(i) * k;
-    for (int j = 0; j < k; ++j) {
-      if (row[j] > out[j]) out[j] = row[j];
-    }
-  }
-}
-
 void Int8GatherRows(const uint8_t* qtable, int d, const int* ids, int n,
                     uint8_t* out, int stride) {
   for (int i = 0; i < n; ++i) {

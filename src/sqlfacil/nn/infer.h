@@ -16,8 +16,8 @@ namespace sqlfacil::nn::infer {
 /// equivalence for the CNN forward.
 
 /// C = A @ B for (m x k) @ (k x n); zeroes C first (the autograd op writes
-/// into a zero-initialized Tensor) and accumulates with the same k-tiled
-/// saxpy kernel the autograd forward uses.
+/// into a zero-initialized Tensor) and accumulates with simd::MatMulRows,
+/// the saxpy kernel the autograd forward uses.
 void MatMul(const float* A, const float* B, float* C, int m, int k, int n);
 
 /// X[i, :] += bias[:] for each of `rows` rows (broadcast nn::Add).
@@ -30,11 +30,6 @@ void GatherRows(const float* table, int d, const int* ids, int n,
 /// out = sliding windows of `in` (t x d) at width `window`:
 /// out[(t - window + 1) x (window * d)] (nn::Unfold).
 void Unfold(const float* in, int t, int d, int window, float* out);
-
-/// out[j] = max over rows [row_begin, row_end) of X[:, k] — strict-greater
-/// scan in row order, matching nn::MaxOverTime's first-max semantics.
-void MaxOverTime(const float* X, int row_begin, int row_end, int k,
-                 float* out);
 
 /// In-place softmax over v[0..n): float max, float exp(v - max), the
 /// denominator accumulated in double, then v = float(v / denom). This is

@@ -239,6 +239,18 @@ float DotScalar(const float* x, const float* y, size_t n) {
   return CombineLanes(lanes);
 }
 
+// Max-over-time spec for one later row i: columns [j_begin, k) replace the
+// running max when strictly greater.
+void MaxOverTimeRowScalar(const float* row, size_t i, int j_begin, int k,
+                          float* out, int* argmax) {
+  for (int j = j_begin; j < k; ++j) {
+    if (row[j] > out[j]) {
+      out[j] = row[j];
+      if (argmax != nullptr) argmax[j] = static_cast<int>(i);
+    }
+  }
+}
+
 // --- AVX2 variants ----------------------------------------------------------
 // target("avx2") only — no "fma", so the compiler cannot contract the
 // explicit mul+add pairs below into fused multiply-adds, which would change
@@ -597,77 +609,78 @@ __attribute__((target("avx2"))) void LstmCellBackwardAvx2(
   }
 }
 
-// Register-blocked matmul kernels. The generic paths below accumulate
-// through memory (load C, mul, add, store C for every k), which makes the
-// inner loop a store-to-load latency chain. These variants hold a block of
-// up to 64 C columns in eight ymm accumulators across the whole k loop.
-// Each C element still receives its a[k]*B[k][j] terms with k ascending,
-// one rounding after the multiply and one after the add, and the same
-// zero-skips, so the results are bit-identical to the generic spec.
+// Register-blocked matmul kernels. A saxpy through memory (load C, mul,
+// add, store C per term) is a store-to-load latency chain, and a single ymm
+// accumulator makes every term wait for the previous add. SaxpyRowAvx2
+// instead holds up to eight 8-column groups of a C row in ymm accumulators
+// across the whole reduction: the 64-column blocks, then every remaining
+// whole group in one block, then a scalar tail, so every column count runs
+// at full register width. Each C element still receives its a[r]*b[r][j]
+// terms with r ascending, one rounding after the multiply and one after the
+// add, and the same zero-skips, so results are bit-identical to the spec.
 
-__attribute__((target("avx2"))) void MatMulRowsAvx2(const float* A,
-                                                    const float* B, float* C,
-                                                    size_t row_begin,
-                                                    size_t row_end, int k,
-                                                    int n) {
+// c[j] += a[r * a_stride] * b[r * b_stride + j] for j < 8 * kGroups, r
+// ascending over [r_begin, r_end), zero a entries skipped. GCC keeps acc[]
+// in registers only when the group loops are fully unrolled (it spills the
+// array otherwise), hence the pragmas.
+template <int kGroups>
+__attribute__((target("avx2"))) void SaxpyBlockAvx2(
+    float* c, const float* a, size_t a_stride, const float* b,
+    size_t b_stride, size_t r_begin, size_t r_end) {
+  __m256 acc[kGroups];
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) acc[g] = _mm256_loadu_ps(c + 8 * g);
+  for (size_t r = r_begin; r < r_end; ++r) {
+    const float av = a[r * a_stride];
+    if (av == 0.0f) continue;
+    const __m256 va = _mm256_set1_ps(av);
+    const float* b_row = b + r * b_stride;
+#pragma GCC unroll 8
+    for (int g = 0; g < kGroups; ++g) {
+      acc[g] = _mm256_add_ps(acc[g],
+                             _mm256_mul_ps(va, _mm256_loadu_ps(b_row + 8 * g)));
+    }
+  }
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) _mm256_storeu_ps(c + 8 * g, acc[g]);
+}
+
+// The same sum over all n columns of c.
+__attribute__((target("avx2"))) void SaxpyRowAvx2(
+    float* c, int n, const float* a, size_t a_stride, const float* b,
+    size_t b_stride, size_t r_begin, size_t r_end) {
+  using Block = void (*)(float*, const float*, size_t, const float*, size_t,
+                         size_t, size_t);
+  static constexpr Block kBlocks[8] = {
+      nullptr,           SaxpyBlockAvx2<1>, SaxpyBlockAvx2<2>,
+      SaxpyBlockAvx2<3>, SaxpyBlockAvx2<4>, SaxpyBlockAvx2<5>,
+      SaxpyBlockAvx2<6>, SaxpyBlockAvx2<7>};
+  int nb = 0;
+  for (; nb + 64 <= n; nb += 64) {
+    SaxpyBlockAvx2<8>(c + nb, a, a_stride, b + nb, b_stride, r_begin, r_end);
+  }
+  if (const int groups = (n - nb) / 8; groups > 0) {
+    kBlocks[groups](c + nb, a, a_stride, b + nb, b_stride, r_begin, r_end);
+    nb += 8 * groups;
+  }
+  for (; nb < n; ++nb) {
+    float acc = c[nb];
+    for (size_t r = r_begin; r < r_end; ++r) {
+      const float av = a[r * a_stride];
+      if (av == 0.0f) continue;
+      acc += av * b[r * b_stride + nb];
+    }
+    c[nb] = acc;
+  }
+}
+
+__attribute__((target("avx2"))) void MatMulRowsAvx2(
+    const float* A, const float* B, float* C, size_t row_begin,
+    size_t row_end, int k, int n) {
   for (size_t i = row_begin; i < row_end; ++i) {
-    const float* a_row = A + i * static_cast<size_t>(k);
-    float* c_row = C + i * static_cast<size_t>(n);
-    int nb = 0;
-    for (; nb + 64 <= n; nb += 64) {
-      float* c = c_row + nb;
-      __m256 acc0 = _mm256_loadu_ps(c);
-      __m256 acc1 = _mm256_loadu_ps(c + 8);
-      __m256 acc2 = _mm256_loadu_ps(c + 16);
-      __m256 acc3 = _mm256_loadu_ps(c + 24);
-      __m256 acc4 = _mm256_loadu_ps(c + 32);
-      __m256 acc5 = _mm256_loadu_ps(c + 40);
-      __m256 acc6 = _mm256_loadu_ps(c + 48);
-      __m256 acc7 = _mm256_loadu_ps(c + 56);
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        const float* b = B + static_cast<size_t>(kk) * n + nb;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(b)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(b + 8)));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(b + 16)));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(b + 24)));
-        acc4 = _mm256_add_ps(acc4, _mm256_mul_ps(va, _mm256_loadu_ps(b + 32)));
-        acc5 = _mm256_add_ps(acc5, _mm256_mul_ps(va, _mm256_loadu_ps(b + 40)));
-        acc6 = _mm256_add_ps(acc6, _mm256_mul_ps(va, _mm256_loadu_ps(b + 48)));
-        acc7 = _mm256_add_ps(acc7, _mm256_mul_ps(va, _mm256_loadu_ps(b + 56)));
-      }
-      _mm256_storeu_ps(c, acc0);
-      _mm256_storeu_ps(c + 8, acc1);
-      _mm256_storeu_ps(c + 16, acc2);
-      _mm256_storeu_ps(c + 24, acc3);
-      _mm256_storeu_ps(c + 32, acc4);
-      _mm256_storeu_ps(c + 40, acc5);
-      _mm256_storeu_ps(c + 48, acc6);
-      _mm256_storeu_ps(c + 56, acc7);
-    }
-    for (; nb + 8 <= n; nb += 8) {
-      __m256 acc = _mm256_loadu_ps(c_row + nb);
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                               _mm256_loadu_ps(
-                                   B + static_cast<size_t>(kk) * n + nb)));
-      }
-      _mm256_storeu_ps(c_row + nb, acc);
-    }
-    for (; nb < n; ++nb) {
-      float acc = c_row[nb];
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
-        acc += av * B[static_cast<size_t>(kk) * n + nb];
-      }
-      c_row[nb] = acc;
-    }
+    SaxpyRowAvx2(C + i * static_cast<size_t>(n), n,
+                 A + i * static_cast<size_t>(k), 1, B,
+                 static_cast<size_t>(n), 0, static_cast<size_t>(k));
   }
 }
 
@@ -775,148 +788,111 @@ __attribute__((target("avx2"))) void LstmGatesAvx2(
   }
 }
 
-__attribute__((target("avx2"))) void MatMulGradBRowsAvx2(const float* A,
-                                                         const float* G,
-                                                         float* dB, int m,
-                                                         size_t k_begin,
-                                                         size_t k_end, int k,
-                                                         int n) {
-  // Per dB element the accumulation runs over i ascending with the same
-  // zero-skips as the generic (i-outer) loop, so bits match exactly. The
-  // i range is tiled so a G slice stays L1-resident across the kk sweep —
-  // without the tile, each kk re-streams the whole G matrix, which is
-  // ruinous when m is thousands of rows (the fused LSTM's one-pass weight
-  // grads). Tiling cannot reorder anything: for a fixed dB element the
-  // tiles visit i in ascending runs, same global order as one pass.
-  constexpr int kIBlock = 32;
-  for (int ib = 0; ib < m; ib += kIBlock) {
-    const int ie = std::min(m, ib + kIBlock);
+__attribute__((target("avx2"))) void MatMulGradBRowsAvx2(
+    const float* A, const float* G, float* dB, int m, size_t k_begin,
+    size_t k_end, int k, int n) {
+  // Row kk of dB is a saxpy over rows of G weighted by column kk of A, i
+  // ascending with the generic loop's zero-skips. The i range is tiled so a
+  // G slice stays L1-resident across the kk sweep — without the tile, each
+  // kk re-streams the whole G matrix, which is ruinous when m is thousands
+  // of rows (the fused LSTM's one-pass weight grads). Tiling cannot reorder
+  // anything: for a fixed dB element the tiles visit i in ascending runs.
+  constexpr size_t kIBlock = 32;
+  const size_t rows = static_cast<size_t>(m);
+  for (size_t ib = 0; ib < rows; ib += kIBlock) {
+    const size_t ie = std::min(rows, ib + kIBlock);
     for (size_t kk = k_begin; kk < k_end; ++kk) {
-      const float* a_col = A + kk;
-      float* db_row = dB + kk * static_cast<size_t>(n);
-      int nb = 0;
-      for (; nb + 64 <= n; nb += 64) {
-        float* c = db_row + nb;
-        __m256 acc0 = _mm256_loadu_ps(c);
-        __m256 acc1 = _mm256_loadu_ps(c + 8);
-        __m256 acc2 = _mm256_loadu_ps(c + 16);
-        __m256 acc3 = _mm256_loadu_ps(c + 24);
-        __m256 acc4 = _mm256_loadu_ps(c + 32);
-        __m256 acc5 = _mm256_loadu_ps(c + 40);
-        __m256 acc6 = _mm256_loadu_ps(c + 48);
-        __m256 acc7 = _mm256_loadu_ps(c + 56);
-        for (int i = ib; i < ie; ++i) {
-          const float av = a_col[static_cast<size_t>(i) * k];
-          if (av == 0.0f) continue;
-          const __m256 va = _mm256_set1_ps(av);
-          const float* g = G + static_cast<size_t>(i) * n + nb;
-          acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(g)));
-          acc1 =
-              _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(g + 8)));
-          acc2 =
-              _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(g + 16)));
-          acc3 =
-              _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(g + 24)));
-          acc4 =
-              _mm256_add_ps(acc4, _mm256_mul_ps(va, _mm256_loadu_ps(g + 32)));
-          acc5 =
-              _mm256_add_ps(acc5, _mm256_mul_ps(va, _mm256_loadu_ps(g + 40)));
-          acc6 =
-              _mm256_add_ps(acc6, _mm256_mul_ps(va, _mm256_loadu_ps(g + 48)));
-          acc7 =
-              _mm256_add_ps(acc7, _mm256_mul_ps(va, _mm256_loadu_ps(g + 56)));
-        }
-        _mm256_storeu_ps(c, acc0);
-        _mm256_storeu_ps(c + 8, acc1);
-        _mm256_storeu_ps(c + 16, acc2);
-        _mm256_storeu_ps(c + 24, acc3);
-        _mm256_storeu_ps(c + 32, acc4);
-        _mm256_storeu_ps(c + 40, acc5);
-        _mm256_storeu_ps(c + 48, acc6);
-        _mm256_storeu_ps(c + 56, acc7);
-      }
-      for (; nb + 8 <= n; nb += 8) {
-        __m256 acc = _mm256_loadu_ps(db_row + nb);
-        for (int i = ib; i < ie; ++i) {
-          const float av = a_col[static_cast<size_t>(i) * k];
-          if (av == 0.0f) continue;
-          acc = _mm256_add_ps(
-              acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                                 _mm256_loadu_ps(
-                                     G + static_cast<size_t>(i) * n + nb)));
-        }
-        _mm256_storeu_ps(db_row + nb, acc);
-      }
-      for (; nb < n; ++nb) {
-        float acc = db_row[nb];
-        for (int i = ib; i < ie; ++i) {
-          const float av = a_col[static_cast<size_t>(i) * k];
-          if (av == 0.0f) continue;
-          acc += av * G[static_cast<size_t>(i) * n + nb];
-        }
-        db_row[nb] = acc;
-      }
+      SaxpyRowAvx2(dB + kk * static_cast<size_t>(n), n, A + kk,
+                   static_cast<size_t>(k), G, static_cast<size_t>(n), ib, ie);
     }
   }
 }
 
+// out[t] (+)= Dot(g, b + t * n) for t < 8, sharing each g load. Each dot
+// keeps its own 8-lane accumulator, and the lane tail adds g[j+l] * b[j+l]
+// to lane l as DotScalar does. Its dead lanes load zeros and add +0, which
+// changes nothing: a lane starts at +0, so it never holds -0. The lanes
+// combine in registers in CombineLanes' tree: hadd adds adjacent lane pairs
+// within each 128-bit half, so two hadd rounds leave (l0+l1)+(l2+l3) of
+// four dots in the low half and (l4+l5)+(l6+l7) in the high half;
+// permute2f128 lines the halves of all eight dots up for the final add.
 template <bool kAssign>
-__attribute__((target("avx2"))) void MatMulGradARowsAvx2(const float* G,
-                                                         const float* B,
-                                                         float* dA,
-                                                         size_t row_begin,
-                                                         size_t row_end,
-                                                         int k, int n) {
-  // Four dots at a time share each G-row load. Every dot keeps its own
-  // 8-lane accumulator register and finishes with the canonical tail +
-  // CombineLanes, i.e. it is exactly DotAvx2 per element.
+__attribute__((target("avx2"))) void EightDotsAvx2(const float* g,
+                                                   const float* b, int n,
+                                                   float* out) {
+  __m256 acc[8];
+  for (int t = 0; t < 8; ++t) acc[t] = _mm256_setzero_ps();
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 vg = _mm256_loadu_ps(g + j);
+    for (int t = 0; t < 8; ++t) {
+      const __m256 vb = _mm256_loadu_ps(b + static_cast<size_t>(t) * n + j);
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(vg, vb));
+    }
+  }
+  if (j < n) {
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(n - j), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 vg = _mm256_maskload_ps(g + j, live);
+    for (int t = 0; t < 8; ++t) {
+      const __m256 vb =
+          _mm256_maskload_ps(b + static_cast<size_t>(t) * n + j, live);
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(vg, vb));
+    }
+  }
+  const __m256 q0 = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                   _mm256_hadd_ps(acc[2], acc[3]));
+  const __m256 q1 = _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]),
+                                   _mm256_hadd_ps(acc[6], acc[7]));
+  __m256 dots = _mm256_add_ps(_mm256_permute2f128_ps(q0, q1, 0x20),
+                              _mm256_permute2f128_ps(q0, q1, 0x31));
+  if constexpr (!kAssign) dots = _mm256_add_ps(_mm256_loadu_ps(out), dots);
+  _mm256_storeu_ps(out, dots);
+}
+
+template <bool kAssign>
+__attribute__((target("avx2"))) void MatMulGradARowsAvx2(
+    const float* G, const float* B, float* dA, size_t row_begin,
+    size_t row_end, int k, int n) {
   for (size_t i = row_begin; i < row_end; ++i) {
     const float* g_row = G + i * static_cast<size_t>(n);
     float* da_row = dA + i * static_cast<size_t>(k);
     int kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      const float* b0 = B + static_cast<size_t>(kk) * n;
-      const float* b1 = b0 + n;
-      const float* b2 = b1 + n;
-      const float* b3 = b2 + n;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      size_t j = 0;
-      for (; j + 8 <= static_cast<size_t>(n); j += 8) {
-        const __m256 vg = _mm256_loadu_ps(g_row + j);
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vg, _mm256_loadu_ps(b0 + j)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(vg, _mm256_loadu_ps(b1 + j)));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(vg, _mm256_loadu_ps(b2 + j)));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(vg, _mm256_loadu_ps(b3 + j)));
-      }
-      alignas(32) float lanes[4][8];
-      _mm256_store_ps(lanes[0], acc0);
-      _mm256_store_ps(lanes[1], acc1);
-      _mm256_store_ps(lanes[2], acc2);
-      _mm256_store_ps(lanes[3], acc3);
-      const float* bs[4] = {b0, b1, b2, b3};
-      for (int t = 0; t < 4; ++t) {
-        for (int l = 0; j + l < static_cast<size_t>(n); ++l) {
-          lanes[t][l] += g_row[j + l] * bs[t][j + l];
-        }
-        if constexpr (kAssign) {
-          da_row[kk + t] = CombineLanes(lanes[t]);
-        } else {
-          da_row[kk + t] += CombineLanes(lanes[t]);
-        }
-      }
+    for (; kk + 8 <= k; kk += 8) {
+      EightDotsAvx2<kAssign>(g_row, B + static_cast<size_t>(kk) * n, n,
+                             da_row + kk);
     }
     for (; kk < k; ++kk) {
       const float dot = DotAvx2(g_row, B + static_cast<size_t>(kk) * n,
                                 static_cast<size_t>(n));
-      if constexpr (kAssign) {
-        da_row[kk] = dot;
-      } else {
-        da_row[kk] += dot;
+      da_row[kk] = kAssign ? dot : da_row[kk] + dot;
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void MaxOverTimeRowsAvx2(
+    const float* X, size_t row_begin, size_t row_end, int k, float* out,
+    int* argmax) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const float* row = X + i * static_cast<size_t>(k);
+    const __m256 row_id =
+        _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int>(i)));
+    int j = 0;
+    for (; j + 8 <= k; j += 8) {
+      const __m256 x = _mm256_loadu_ps(row + j);
+      const __m256 best = _mm256_loadu_ps(out + j);
+      // GT_OQ is false on equality (either sign of zero) and when either
+      // side is NaN, exactly like the scalar `>`.
+      const __m256 take = _mm256_cmp_ps(x, best, _CMP_GT_OQ);
+      _mm256_storeu_ps(out + j, _mm256_blendv_ps(best, x, take));
+      if (argmax != nullptr) {
+        __m256i* arg = reinterpret_cast<__m256i*>(argmax + j);
+        const __m256 prev = _mm256_castsi256_ps(_mm256_loadu_si256(arg));
+        _mm256_storeu_si256(
+            arg, _mm256_castps_si256(_mm256_blendv_ps(prev, row_id, take)));
       }
     }
+    MaxOverTimeRowScalar(row, i, j, k, out, argmax);
   }
 }
 
@@ -1198,6 +1174,21 @@ void MatMulGradBRows(const float* A, const float* G, float* dB, int m,
       Axpy(dB + kk * static_cast<size_t>(n), g_row, av,
            static_cast<size_t>(n));
     }
+  }
+}
+
+void MaxOverTime(const float* X, size_t row_begin, size_t row_end, int k,
+                 float* out, int* argmax) {
+  std::memcpy(out, X + row_begin * static_cast<size_t>(k),
+              static_cast<size_t>(k) * sizeof(float));
+  if (argmax != nullptr) std::fill_n(argmax, k, static_cast<int>(row_begin));
+#if SQLFACIL_X86
+  if (Enabled())
+    return MaxOverTimeRowsAvx2(X, row_begin + 1, row_end, k, out, argmax);
+#endif
+  for (size_t i = row_begin + 1; i < row_end; ++i) {
+    MaxOverTimeRowScalar(X + i * static_cast<size_t>(k), i, 0, k, out,
+                         argmax);
   }
 }
 

@@ -157,19 +157,22 @@ void AdaMaxStep(float* w, const float* g, float* m, float* u, float beta1,
 /// Canonical 8-lane dot product (see contract above).
 float Dot(const float* x, const float* y, size_t n);
 
-/// C[rb..re) += A[rb..re) @ B for an (m x k) @ (k x n) product, saxpy form
-/// with k-tiling: a tile of B rows stays cache-hot while it is reused
-/// across every row of the chunk. Per output element the accumulation runs
-/// over k ascending regardless of tiling, chunking, or SIMD, so the result
-/// is bit-identical across all of them. Rows of C depend only on the same
-/// row of A, so any row partition yields identical bits.
+/// C[rb..re) += A[rb..re) @ B for an (m x k) @ (k x n) product, saxpy form:
+/// C[i][j] += A[i][kk] * B[kk][j] for kk ascending, zero A entries skipped
+/// (exact: the skipped saxpy adds ±0). The AVX2 path keeps up to 64 columns
+/// of a C row in registers across the whole k loop, at every n; per output
+/// element the terms, their order and their roundings are those of the
+/// scalar spec, so the result is bit-identical across SIMD. Rows of C depend
+/// only on the same row of A, so any row partition yields identical bits.
 void MatMulRows(const float* A, const float* B, float* C, size_t row_begin,
                 size_t row_end, int k, int n);
 
 /// dA[rb..re) += G @ B^T for an (m x n) grad against a (k x n) B:
 /// dA[i][kk] += Dot(G[i, :], B[kk, :]). Row i of dA depends only on row i of
-/// G, so any row partition yields identical bits; the inner reduction is the
-/// canonical Dot, so SIMD on/off is bit-identical too.
+/// G, so any row partition yields identical bits. Each element is the
+/// canonical Dot; the AVX2 path computes eight of them per pass over G[i, :]
+/// and combines their lanes in registers in Dot's tree order, so SIMD on/off
+/// is bit-identical too.
 void MatMulGradARows(const float* G, const float* B, float* dA,
                      size_t row_begin, size_t row_end, int k, int n);
 
@@ -180,12 +183,22 @@ void MatMulGradARowsTo(const float* G, const float* B, float* dA,
                        size_t row_begin, size_t row_end, int k, int n);
 
 /// dB[kb..ke) += A^T @ G restricted to rows kb..ke of dB (columns of A):
-/// for i ascending over [0, m), dB[kk, :] += A[i][kk] * G[i, :]. The i-loop
-/// stays outermost and ascending for every kk partition, so each dB element
-/// accumulates its terms in the same order regardless of chunking. Zero
-/// A[i][kk] entries are skipped (exact: the skipped axpy adds ±0).
+/// for i ascending over [0, m), dB[kk, :] += A[i][kk] * G[i, :]. Zero
+/// A[i][kk] entries are skipped (exact: the skipped axpy adds ±0). Each dB
+/// element accumulates its terms over i ascending for every kk partition,
+/// and the AVX2 path holds dB row blocks in registers as MatMulRows does,
+/// so the bits match across chunking and SIMD.
 void MatMulGradBRows(const float* A, const float* G, float* dB, int m,
                      size_t k_begin, size_t k_end, int k, int n);
+
+/// Max over time of rows [row_begin, row_end) of X (row-major, k columns;
+/// row_end > row_begin): out[j] starts at X[row_begin][j], and each later
+/// row i, ascending, replaces it when X[i][j] > out[j]. The comparison is
+/// strict: the first row of a tie wins, a NaN never replaces a value, and
+/// +0 never replaces -0. When argmax is non-null, argmax[j] receives the
+/// row the final out[j] came from.
+void MaxOverTime(const float* X, size_t row_begin, size_t row_end, int k,
+                 float* out, int* argmax);
 
 }  // namespace sqlfacil::nn::simd
 

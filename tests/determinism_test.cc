@@ -161,11 +161,16 @@ TEST(DeterminismTest, CnnModelBitIdenticalAcrossSimdAndThreads) {
   models::CnnModel::Config config;
   config.granularity = sql::Granularity::kWord;
   config.embed_dim = 4;
-  config.kernels_per_width = 4;
   config.widths = {2, 3};
   config.epochs = 1;
   config.batch_size = 8;
-  SweepSimdAndThreads<models::CnnModel>(config, train, valid);
+  // 4 kernels run only the scalar column tail of the AVX2 matmuls; 20 also
+  // run two 8-column register groups.
+  for (int kernels : {4, 20}) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    config.kernels_per_width = kernels;
+    SweepSimdAndThreads<models::CnnModel>(config, train, valid);
+  }
 }
 
 TEST(DeterminismTest, LstmModelBitIdenticalAcrossSimdAndThreads) {
@@ -258,11 +263,16 @@ TEST(DeterminismTest, CnnTrainingSweepBitIdentical) {
   models::CnnModel::Config config;
   config.granularity = sql::Granularity::kWord;
   config.embed_dim = 4;
-  config.kernels_per_width = 4;
   config.widths = {2, 3};
   config.epochs = 2;
   config.batch_size = 6;  // uneven final batch exercises ragged shards
-  TrainingSweep<models::CnnModel>(config, train, valid);
+  // As in CnnModelBitIdenticalAcrossSimdAndThreads: 20 kernels reach the
+  // register groups of the forward and backward matmuls.
+  for (int kernels : {4, 20}) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    config.kernels_per_width = kernels;
+    TrainingSweep<models::CnnModel>(config, train, valid);
+  }
 }
 
 TEST(DeterminismTest, LstmTrainingSweepBitIdentical) {

@@ -530,57 +530,63 @@ TEST(LstmFusedTest, MatchesLayerByLayerForwardAndGradients) {
 // rows) and lengths that equal the widest window.
 TEST(InferTest, KimCnnForwardMatchesAutogradBitwise) {
   const bool saved_simd = simd::Enabled();
-  Rng rng(41);
-  const int vocab = 20, d = 5, kernels = 6, outputs = 3;
+  const int vocab = 20, d = 5, outputs = 3;
   const std::vector<int> widths = {2, 3, 4};
-  const int feat_dim = static_cast<int>(widths.size()) * kernels;
-  Embedding emb(vocab, d, &rng);
-  std::vector<Linear> convs;
-  for (int w : widths) convs.emplace_back(w * d, kernels, &rng);
-  Linear head(feat_dim, outputs, &rng);
   const std::vector<std::vector<int>> queries = {
       {1, 4, 7, 2, 9, 3, 0, 11},
       {5, -1, -1, -1},
       {8, 8, 19, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 17, 8, 8, 8, 8, 8, 8, 8, 8, 2}};
-  for (bool simd_on : {false, true}) {
-    if (simd_on && !simd::HasAvx2()) continue;
-    simd::SetEnabled(simd_on);
-    for (const auto& ids : queries) {
-      const Var e = emb.Lookup(ids);
-      std::vector<Var> pooled;
-      for (size_t w = 0; w < widths.size(); ++w) {
-        pooled.push_back(MaxOverTime(
-            Relu(convs[w].Apply(Unfold(e, widths[w])))));
-      }
-      const Var graph = head.Apply(ConcatCols(pooled));
+  // 6 kernels run only the scalar column tail of the AVX2 conv matmul; 20
+  // also run two 8-column register groups.
+  for (const int kernels : {6, 20}) {
+    Rng rng(41);
+    const int feat_dim = static_cast<int>(widths.size()) * kernels;
+    Embedding emb(vocab, d, &rng);
+    std::vector<Linear> convs;
+    for (int w : widths) convs.emplace_back(w * d, kernels, &rng);
+    Linear head(feat_dim, outputs, &rng);
+    for (bool simd_on : {false, true}) {
+      if (simd_on && !simd::HasAvx2()) continue;
+      simd::SetEnabled(simd_on);
+      for (const auto& ids : queries) {
+        const Var e = emb.Lookup(ids);
+        std::vector<Var> pooled;
+        for (size_t w = 0; w < widths.size(); ++w) {
+          pooled.push_back(MaxOverTime(
+              Relu(convs[w].Apply(Unfold(e, widths[w])))));
+        }
+        const Var graph = head.Apply(ConcatCols(pooled));
 
-      const int t = static_cast<int>(ids.size());
-      std::vector<float> x(static_cast<size_t>(t) * d);
-      infer::GatherRows(emb.table->value.data(), d, ids.data(), t, x.data());
-      std::vector<float> features(feat_dim);
-      for (size_t w = 0; w < widths.size(); ++w) {
-        const int rows = t - widths[w] + 1;
-        const int wd = widths[w] * d;
-        std::vector<float> windows(static_cast<size_t>(rows) * wd);
-        infer::Unfold(x.data(), t, d, widths[w], windows.data());
-        std::vector<float> conv(static_cast<size_t>(rows) * kernels);
-        infer::MatMul(windows.data(), convs[w].weight->value.data(),
-                      conv.data(), rows, wd, kernels);
-        infer::BiasAdd(conv.data(), convs[w].bias->value.data(), rows,
-                       kernels);
-        simd::Relu(conv.data(), conv.size());
-        infer::MaxOverTime(conv.data(), 0, rows, kernels,
-                           features.data() + w * kernels);
-      }
-      std::vector<float> logits(outputs);
-      infer::MatMul(features.data(), head.weight->value.data(),
-                    logits.data(), 1, feat_dim, outputs);
-      infer::BiasAdd(logits.data(), head.bias->value.data(), 1, outputs);
+        const int t = static_cast<int>(ids.size());
+        std::vector<float> x(static_cast<size_t>(t) * d);
+        infer::GatherRows(emb.table->value.data(), d, ids.data(), t,
+                          x.data());
+        std::vector<float> features(feat_dim);
+        for (size_t w = 0; w < widths.size(); ++w) {
+          const int rows = t - widths[w] + 1;
+          const int wd = widths[w] * d;
+          std::vector<float> windows(static_cast<size_t>(rows) * wd);
+          infer::Unfold(x.data(), t, d, widths[w], windows.data());
+          std::vector<float> conv(static_cast<size_t>(rows) * kernels);
+          infer::MatMul(windows.data(), convs[w].weight->value.data(),
+                        conv.data(), rows, wd, kernels);
+          infer::BiasAdd(conv.data(), convs[w].bias->value.data(), rows,
+                         kernels);
+          simd::Relu(conv.data(), conv.size());
+          simd::MaxOverTime(conv.data(), 0, static_cast<size_t>(rows),
+                            kernels, features.data() + w * kernels, nullptr);
+        }
+        std::vector<float> logits(outputs);
+        infer::MatMul(features.data(), head.weight->value.data(),
+                      logits.data(), 1, feat_dim, outputs);
+        infer::BiasAdd(logits.data(), head.bias->value.data(), 1, outputs);
 
-      ASSERT_EQ(graph->value.size(), logits.size());
-      for (int j = 0; j < outputs; ++j) {
-        EXPECT_EQ(graph->value.data()[j], logits[j])
-            << "logit " << j << " simd=" << simd_on << " length " << t;
+        ASSERT_EQ(graph->value.size(), logits.size());
+        for (int j = 0; j < outputs; ++j) {
+          EXPECT_EQ(graph->value.data()[j], logits[j])
+              << "logit " << j << " simd=" << simd_on << " length " << t
+              << " kernels " << kernels;
+        }
       }
     }
   }

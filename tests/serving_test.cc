@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -189,21 +190,137 @@ TEST(SimdTest, KernelsBitIdenticalAcrossDispatch) {
   }
 }
 
+// Every matmul kernel and the max-over-time kernel, scalar spec against
+// AVX2, compared bitwise (EXPECT_EQ on floats would let -0 match +0).
 TEST(SimdTest, MatMulRowsBitIdenticalAcrossDispatch) {
   if (!nn::simd::HasAvx2()) GTEST_SKIP() << "no AVX2 on this host";
   SimdGuard guard;
   Rng rng(321);
-  const int m = 13, k = 37, n = 21;
-  std::vector<float> A(m * k), B(k * n);
-  for (auto& v : A) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  for (auto& v : B) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  A[5] = 0.0f;  // exercise the zero-skip path
-  std::vector<float> c_scalar(m * n, 0.0f), c_avx2(m * n, 0.0f);
-  nn::simd::SetEnabled(false);
-  nn::simd::MatMulRows(A.data(), B.data(), c_scalar.data(), 0, m, k, n);
-  nn::simd::SetEnabled(true);
-  nn::simd::MatMulRows(A.data(), B.data(), c_avx2.data(), 0, m, k, n);
-  for (int i = 0; i < m * n; ++i) EXPECT_EQ(c_scalar[i], c_avx2[i]);
+  auto random = [&rng](size_t size) {
+    std::vector<float> v(size);
+    for (auto& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    return v;
+  };
+  // Runs `kernel` on a copy of `init` under each dispatch.
+  auto same_bits = [](const std::vector<float>& init, const std::string& what,
+                      const auto& kernel) {
+    std::vector<float> scalar = init, avx2 = init;
+    nn::simd::SetEnabled(false);
+    kernel(scalar.data());
+    nn::simd::SetEnabled(true);
+    kernel(avx2.data());
+    EXPECT_EQ(0, std::memcmp(scalar.data(), avx2.data(),
+                             init.size() * sizeof(float)))
+        << what;
+  };
+
+  // Column counts: scalar tail only (1, 7), whole 8-column groups with and
+  // without a tail (8, 21, 48), the 64-column block alone and followed by
+  // groups and a tail (64, 72, 136). m = 40 spans two GradB row tiles.
+  const int m = 40, k = 37;
+  for (int n : {1, 7, 8, 21, 48, 64, 72, 136}) {
+    std::vector<float> A = random(m * k);
+    for (size_t i = 0; i < A.size(); i += 5) A[i] = 0.0f;  // zero-skips
+    const std::vector<float> B = random(k * n), G = random(m * n);
+    const std::string at = " n=" + std::to_string(n);
+    same_bits(random(m * n), "MatMulRows" + at, [&](float* C) {
+      nn::simd::MatMulRows(A.data(), B.data(), C, 0, m, k, n);
+    });
+    same_bits(random(m * n), "MatMulRows rows [3, 9)" + at, [&](float* C) {
+      nn::simd::MatMulRows(A.data(), B.data(), C, 3, 9, k, n);
+    });
+    same_bits(random(k * n), "MatMulGradBRows" + at, [&](float* dB) {
+      nn::simd::MatMulGradBRows(A.data(), G.data(), dB, m, 0, k, k, n);
+    });
+    same_bits(random(k * n), "MatMulGradBRows k [5, 30)" + at,
+              [&](float* dB) {
+                nn::simd::MatMulGradBRows(A.data(), G.data(), dB, m, 5, 30,
+                                          k, n);
+              });
+  }
+
+  // GradA: remainder dots only (3), one and several eight-dot passes with
+  // and without remainder dots (8, 13, 48), against lane tails only (5),
+  // none (48) and whole blocks plus a tail (131).
+  for (int kd : {3, 8, 13, 48}) {
+    for (int n : {5, 48, 131}) {
+      const std::vector<float> G = random(m * n), B = random(kd * n);
+      const std::string at =
+          " k=" + std::to_string(kd) + " n=" + std::to_string(n);
+      same_bits(random(m * kd), "MatMulGradARows" + at, [&](float* dA) {
+        nn::simd::MatMulGradARows(G.data(), B.data(), dA, 0, m, kd, n);
+      });
+      same_bits(random(m * kd), "MatMulGradARowsTo" + at, [&](float* dA) {
+        nn::simd::MatMulGradARowsTo(G.data(), B.data(), dA, 0, m, kd, n);
+      });
+    }
+  }
+
+  // Max over time, over rows [0, 7) and [1, 7). Column j % 4 == 0 ties at
+  // the max in rows 2 and 5 (row 2 wins); == 1 has a NaN in row 3 and the
+  // max in row 4; == 2 holds -0 in row 1, +0 in row 4 and negatives
+  // elsewhere (-0 stays); == 3 starts with NaN in rows 0 and 1 (it stays).
+  const int rows = 7;
+  const float nan = std::nanf("");
+  for (int kc : {5, 8, 21, 48}) {
+    std::vector<float> X = random(rows * kc);
+    for (int j = 0; j < kc; ++j) {
+      auto at = [&](int i) -> float& { return X[i * kc + j]; };
+      if (j % 4 == 0) at(2) = at(5) = 5.0f;
+      if (j % 4 == 1) {
+        at(3) = nan;
+        at(4) = 3.0f;
+      }
+      if (j % 4 == 2) {
+        for (int i = 0; i < rows; ++i) at(i) = -1.0f;
+        at(1) = -0.0f;
+        at(4) = 0.0f;
+      }
+      if (j % 4 == 3) at(0) = at(1) = nan;
+    }
+    for (int begin : {0, 1}) {
+      std::vector<float> out[2], plain[2];
+      std::vector<int> arg[2];
+      for (int path = 0; path < 2; ++path) {
+        nn::simd::SetEnabled(path == 1);
+        out[path].assign(kc, 0.0f);
+        plain[path].assign(kc, 0.0f);
+        arg[path].assign(kc, -1);
+        nn::simd::MaxOverTime(X.data(), begin, rows, kc, out[path].data(),
+                              arg[path].data());
+        nn::simd::MaxOverTime(X.data(), begin, rows, kc, plain[path].data(),
+                              nullptr);
+      }
+      const std::string at =
+          " k=" + std::to_string(kc) + " begin=" + std::to_string(begin);
+      for (int path = 0; path < 2; ++path) {
+        const std::string where = at + (path == 1 ? " avx2" : " scalar");
+        EXPECT_EQ(0, std::memcmp(out[path].data(), plain[path].data(),
+                                 kc * sizeof(float)))
+            << "argmax changes the max" << where;
+        for (int j = 0; j < kc; ++j) {
+          const float v = out[path][j];
+          if (j % 4 == 0) {
+            EXPECT_EQ(v, 5.0f) << where;
+            EXPECT_EQ(arg[path][j], 2) << "tie keeps the first row" << where;
+          } else if (j % 4 == 1) {
+            EXPECT_EQ(v, 3.0f) << where;
+            EXPECT_EQ(arg[path][j], 4) << "NaN never wins" << where;
+          } else if (j % 4 == 2) {
+            EXPECT_TRUE(v == 0.0f && std::signbit(v)) << "-0 stays" << where;
+            EXPECT_EQ(arg[path][j], 1) << where;
+          } else {
+            EXPECT_TRUE(std::isnan(v)) << "a first-row NaN stays" << where;
+            EXPECT_EQ(arg[path][j], begin) << where;
+          }
+        }
+      }
+      EXPECT_EQ(0, std::memcmp(out[0].data(), out[1].data(),
+                               kc * sizeof(float)))
+          << "max" << at;
+      EXPECT_EQ(arg[0], arg[1]) << "argmax" << at;
+    }
+  }
 }
 
 // --- PredictBatch == Predict ----------------------------------------------
