@@ -18,7 +18,6 @@
 #include "sqlfacil/models/cnn_model.h"
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/tfidf_model.h"
-#include "sqlfacil/serving/cached_model.h"
 #include "sqlfacil/serving/server.h"
 #include "sqlfacil/util/latency_histogram.h"
 #include "sqlfacil/util/random.h"
@@ -168,26 +167,28 @@ BENCHMARK(BM_PredictBatch_ccnn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictLoop_clstm)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictBatch_clstm)->Unit(benchmark::kMicrosecond);
 
-// Cache hit-rate sweep. Each iteration clears the cache, warms hit_pct% of
-// the serving set, then times one PredictBatch over the whole set — so the
-// measured batch sees exactly the advertised hit rate. Manual timing keeps
-// the warm-up out of the measurement.
-void CachedBatch(benchmark::State& state, serving::CachedModel& model) {
+// Cache hit-rate sweep. Each iteration serves through a fresh
+// ResilientModel (a cold cache), warms hit_pct% of the serving set, then
+// times one PredictBatch over the whole set — so the measured batch sees
+// exactly the advertised hit rate. Manual timing keeps the set-up and
+// warm-up out of the measurement.
+void CachedBatch(benchmark::State& state, models::Model* model) {
   const auto& queries = ServeQueries();
   const size_t hit_pct = static_cast<size_t>(state.range(0));
   const size_t warm = queries.size() * hit_pct / 100;
   const std::vector<std::string> warm_queries(queries.begin(),
                                               queries.begin() + warm);
   for (auto _ : state) {
-    model.cache().Clear();
+    serving::ResilientModel serving(std::make_unique<serving::ModelRef>(model),
+                                    std::make_unique<models::MfreqModel>());
     if (!warm_queries.empty()) {
-      auto warmed = model.PredictBatch(warm_queries);
-      benchmark::DoNotOptimize(warmed.data());
+      auto warmed = serving.PredictBatch(warm_queries);
+      benchmark::DoNotOptimize(warmed.predictions.data());
     }
     const auto t0 = std::chrono::steady_clock::now();
-    auto preds = model.PredictBatch(queries);
+    auto served = serving.PredictBatch(queries);
     const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(preds.data());
+    benchmark::DoNotOptimize(served.predictions.data());
     state.SetIterationTime(
         std::chrono::duration<double>(t1 - t0).count());
   }
@@ -195,29 +196,29 @@ void CachedBatch(benchmark::State& state, serving::CachedModel& model) {
                           static_cast<int64_t>(queries.size()));
 }
 
-serving::CachedModel& CachedCnn() {
-  static serving::CachedModel* model = [] {
+models::Model* CachedCnn() {
+  static models::Model* model = [] {
     models::CnnModel::Config config;
     config.epochs = 1;
-    auto inner = std::make_unique<models::CnnModel>(config);
+    auto* m = new models::CnnModel(config);
     Rng rng(7);
-    inner->Fit(TrainData(), TrainData(), &rng);
-    return new serving::CachedModel(std::move(inner));
+    m->Fit(TrainData(), TrainData(), &rng);
+    return m;
   }();
-  return *model;
+  return model;
 }
 
-serving::CachedModel& CachedLstm() {
-  static serving::CachedModel* model = [] {
+models::Model* CachedLstm() {
+  static models::Model* model = [] {
     models::LstmModel::Config config;
     config.epochs = 1;
     config.num_layers = 2;
-    auto inner = std::make_unique<models::LstmModel>(config);
+    auto* m = new models::LstmModel(config);
     Rng rng(7);
-    inner->Fit(TrainData(), TrainData(), &rng);
-    return new serving::CachedModel(std::move(inner));
+    m->Fit(TrainData(), TrainData(), &rng);
+    return m;
   }();
-  return *model;
+  return model;
 }
 
 void BM_CachedBatch_ccnn(benchmark::State& state) {

@@ -79,8 +79,8 @@ if [ "$MODE" = thread ]; then
   run "serve_bench soak" "$BUILD_DIR/tools/serve_bench" --rates 0 \
     --clients 8 --shards 2 --duration-s 0.2 --warmup-s 0.05 \
     --precision fp32 --train-n 48 --trace-len 64
-  # Swap under concurrent predict: the registry's RCU publish, the seqlock
-  # cache binding and the shard batcher threads all racing.
+  # Swap under concurrent predict: the registry's RCU publish, each
+  # batch's version pin and the shard batcher threads all racing.
   run "lifecycle swap storm" "$BUILD_DIR/tests/lifecycle_test" \
     --gtest_filter='*SwapStorm*' --gtest_repeat=5
   run "lifecycle chaos, 20 swaps" scripts/check_lifecycle.sh "$BUILD_DIR" 20 1

@@ -1,14 +1,15 @@
 #!/bin/sh
 # Full local CI: tier-1 tests (Release), the failpoint fault-injection
-# matrix, the kill/resume chaos harness, then the ASan, TSan and UBSan
-# suites.
-# Usage: scripts/ci.sh [build-dir]   (default: build)
+# matrix, the chaos harnesses, a smoke run of the benchmark, then the
+# ASan, TSan and UBSan suites.
+# Usage: scripts/ci.sh [build-dir]   (default: build; the benchmark builds
+#        into <build-dir>-perfbench)
 # Exits non-zero on the first failing stage; prints one loud status line
 # per stage so logs are greppable (CI_TESTS_OK / CI_INT8_TESTS_OK /
 # CI_DISK_TESTS_OK / CI_WAL_TESTS_OK / CI_FAILPOINT_MATRIX_OK /
 # CI_STORAGE_MATRIX_OK / CI_WAL_MATRIX_OK / CI_SERVING_SOAK_OK /
-# CI_LIFECYCLE_OK / RESUME_CHAOS_OK / CI_CRASH_RECOVERY_OK / ASAN_CLEAN /
-# TSAN_CLEAN / UBSAN_CLEAN).
+# CI_LIFECYCLE_OK / CI_PERFBENCH_OK / RESUME_CHAOS_OK /
+# CI_CRASH_RECOVERY_OK / ASAN_CLEAN / TSAN_CLEAN / UBSAN_CLEAN).
 set -eu
 BUILD_DIR="${1:-build}"
 
@@ -180,6 +181,35 @@ if ! scripts/check_lifecycle.sh "$BUILD_DIR"; then
   echo "CI_LIFECYCLE_FAILED" >&2
   exit 1
 fi
+
+echo "== benchmark smoke run =="
+# perfbench/ (BENCHMARK.json) compiles against the library's serving,
+# model and storage APIs but lives outside the main build: build it beside
+# the main tree, check its ledger arithmetic, and run every workload
+# briefly with the per-layer ledger on. perfbench exits 0 only when every
+# correctness check passed (failed=0).
+PERF_DIR="$BUILD_DIR-perfbench"
+if [ ! -f "$PERF_DIR/CMakeCache.txt" ]; then
+  cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
+fi
+cmake --build "$PERF_DIR" -j --target perfbench perfbench_ledger_test \
+  >/dev/null
+if ! "$PERF_DIR/perfbench_ledger_test"; then
+  echo "CI_PERFBENCH_FAILED" >&2
+  exit 1
+fi
+PERF_WORK="${TMPDIR:-/tmp}/sqlfacil_ci_perfbench_$$"
+for workload in serve_session pipeline label_disk; do
+  echo "-- perfbench --workload $workload --seconds 4 --trace 1 --"
+  if ! "$PERF_DIR/perfbench" --workload "$workload" --seed 1 --seconds 4 \
+      --trace 1 --work-dir "$PERF_WORK/$workload"; then
+    rm -rf "$PERF_WORK"
+    echo "CI_PERFBENCH_FAILED" >&2
+    exit 1
+  fi
+done
+rm -rf "$PERF_WORK"
+echo "CI_PERFBENCH_OK"
 
 echo "== kill/resume chaos =="
 # Seeded SIGKILL storm over every model family x threads x SIMD: resumed

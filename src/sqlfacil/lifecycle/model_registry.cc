@@ -1,10 +1,8 @@
 #include "sqlfacil/lifecycle/model_registry.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "sqlfacil/util/failpoint.h"
-#include "sqlfacil/util/logging.h"
 
 namespace sqlfacil::lifecycle {
 
@@ -34,17 +32,11 @@ StatusOr<uint64_t> ModelRegistry::PublishLocked(
   version->note = std::move(note);
   history_.push_back(version);
   while (history_.size() > history_capacity_) history_.pop_front();
-  // Seqlock bracket around the pointer swap: a cache reader whose
-  // before/after epoch reads are equal and even is guaranteed its pinned
-  // snapshot belongs to that epoch; anyone straddling the swap sees a
-  // changed (or odd) epoch and skips caching that answer.
-  epoch_.fetch_add(1, std::memory_order_release);  // -> odd: in progress
   {
     std::lock_guard<std::mutex> lock(current_mu_);
     current_ = version;
   }
   generation_counter_.store(version->generation, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_release);  // -> even: complete
   published_.fetch_add(1, std::memory_order_relaxed);
   return version->generation;
 }
@@ -92,68 +84,6 @@ std::vector<uint64_t> ModelRegistry::RetainedGenerations() const {
   out.reserve(history_.size());
   for (const VersionPtr& v : history_) out.push_back(v->generation);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// RegistryModel
-// ---------------------------------------------------------------------------
-
-RegistryModel::RegistryModel(const ModelRegistry* registry)
-    : registry_(registry) {
-  SQLFACIL_CHECK(registry_ != nullptr);
-}
-
-VersionPtr RegistryModel::Pin() const {
-  VersionPtr version = registry_->Current();
-  if (version == nullptr || version->model == nullptr) {
-    // Serving before the first publish: surface as a primary failure so
-    // the ResilientModel chain answers from the baseline tier.
-    throw std::runtime_error("model registry has no published version");
-  }
-  return version;
-}
-
-std::string RegistryModel::name() const {
-  VersionPtr version = registry_->Current();
-  return version == nullptr ? "registry" : version->model->name();
-}
-
-void RegistryModel::Fit(const models::Dataset&, const models::Dataset&,
-                        Rng*) {
-  throw std::logic_error(
-      "registry versions are immutable; train a candidate and Publish it");
-}
-
-std::vector<float> RegistryModel::Predict(const std::string& statement,
-                                          double opt_cost) const {
-  return Pin()->model->Predict(statement, opt_cost);
-}
-
-std::vector<std::vector<float>> RegistryModel::PredictBatch(
-    std::span<const std::string> statements,
-    std::span<const double> opt_costs) const {
-  // One pin for the whole batch: a swap that lands mid-batch does not
-  // affect this call, and every slot is scored by the same generation.
-  return Pin()->model->PredictBatch(statements, opt_costs);
-}
-
-size_t RegistryModel::vocab_size() const {
-  VersionPtr version = registry_->Current();
-  return version == nullptr ? 0 : version->model->vocab_size();
-}
-
-size_t RegistryModel::num_parameters() const {
-  VersionPtr version = registry_->Current();
-  return version == nullptr ? 0 : version->model->num_parameters();
-}
-
-Status RegistryModel::SaveTo(std::ostream& out) const {
-  return Pin()->model->SaveTo(out);
-}
-
-Status RegistryModel::LoadFrom(std::istream&) {
-  return Status::InvalidArgument(
-      "registry versions are immutable; Publish a loaded model instead");
 }
 
 }  // namespace sqlfacil::lifecycle

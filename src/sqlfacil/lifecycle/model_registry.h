@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,12 +46,10 @@ using VersionPtr = std::shared_ptr<const ModelVersion>;
 /// swap can never fail a request. Writers (Publish/Rollback) serialize on
 /// a separate mutex and touch `current_` only for the pointer assignment.
 ///
-/// Cache invalidation: `version_counter()` exposes an atomic that bumps
-/// on every publish. serving::CachedModel binds it through the same
-/// epoch-check path that invalidates on precision-tier switches, so a
-/// swap clears every shard's prediction cache on its next lookup and the
-/// counter value inside the cache key makes a stale cross-generation hit
-/// impossible even while a clear races in-flight fills.
+/// Serving caches need no invalidation hook: serving::ResilientModel pins
+/// one version per batch and keys its prediction cache by that version's
+/// generation, so entries of a swapped-out generation are simply never
+/// looked up again.
 ///
 /// Failpoint `lifecycle.swap` fires at the top of Publish (error mode
 /// returns a typed Status, throw mode throws). Either way *no* state has
@@ -84,7 +81,7 @@ class ModelRegistry {
 
   /// Republishes the version that was live immediately before the current
   /// one, under a NEW generation number (the generation stream never goes
-  /// backwards, so cache invalidation and page-ins stay monotonic).
+  /// backwards, so a generation names exactly one publish).
   /// Returns the new generation, or kNotFound when there is no previous
   /// version to return to.
   StatusOr<uint64_t> Rollback(std::string note = "rollback");
@@ -93,15 +90,6 @@ class ModelRegistry {
   uint64_t generation() const {
     return generation_counter_.load(std::memory_order_acquire);
   }
-
-  /// Seqlock-style publish epoch for cache binding. Even while no swap is
-  /// in flight; a publish increments it to odd, swaps the pointer, then
-  /// increments it back to even. serving::CachedModel reads it before and
-  /// after an inner inference: equal-and-even brackets prove the pinned
-  /// snapshot matches the epoch in the cache key, so a hot swap can never
-  /// plant a cross-generation cache entry — not even in the one-instruction
-  /// window a plain counter would leave open.
-  const std::atomic<uint64_t>* version_epoch() const { return &epoch_; }
 
   /// Generations currently retained in the rollback window, oldest first.
   std::vector<uint64_t> RetainedGenerations() const;
@@ -124,47 +112,10 @@ class ModelRegistry {
   mutable std::mutex current_mu_;
   VersionPtr current_;
   std::atomic<uint64_t> generation_counter_{0};
-  std::atomic<uint64_t> epoch_{0};  // seqlock: odd == swap in progress
   std::atomic<uint64_t> published_{0};
   std::atomic<uint64_t> rollbacks_{0};
   size_t history_capacity_;
   std::deque<VersionPtr> history_;  // guarded by publish_mu_, newest last
-};
-
-/// Model adapter that serves whatever the registry currently publishes
-/// (ISSUE 10 tentpole, serving bridge). Each Predict/PredictBatch call
-/// pins Current() exactly once and runs the whole call against that
-/// snapshot — a hot swap mid-batch never mixes generations within one
-/// batch and never invalidates memory the batch is using.
-///
-/// Registry models are immutable from the serving side: Fit/LoadFrom/
-/// Quantize throw (the ResilientModel wrapper converts that into its
-/// degraded-tier posture, which is also what an empty registry yields).
-class RegistryModel : public models::Model {
- public:
-  explicit RegistryModel(const ModelRegistry* registry);
-
-  std::string name() const override;
-  void Fit(const models::Dataset& train, const models::Dataset& valid,
-           Rng* rng) override;
-  std::vector<float> Predict(const std::string& statement,
-                             double opt_cost) const override;
-  std::vector<std::vector<float>> PredictBatch(
-      std::span<const std::string> statements,
-      std::span<const double> opt_costs = {}) const override;
-  size_t vocab_size() const override;
-  size_t num_parameters() const override;
-  Status SaveTo(std::ostream& out) const override;
-  Status LoadFrom(std::istream& in) override;
-
-  const ModelRegistry* registry() const { return registry_; }
-
- private:
-  /// Pinned snapshot or an exception when the registry is empty (the
-  /// degradation chain turns that into baseline-tier serving).
-  VersionPtr Pin() const;
-
-  const ModelRegistry* registry_;
 };
 
 }  // namespace sqlfacil::lifecycle

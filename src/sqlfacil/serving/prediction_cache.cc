@@ -78,14 +78,6 @@ void PredictionCache::Put(const std::string& key, std::vector<float> value) {
   }
 }
 
-void PredictionCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-  }
-}
-
 size_t PredictionCache::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {

@@ -22,10 +22,11 @@ namespace sqlfacil::serving {
 std::string NormalizeStatement(const std::string& statement);
 
 /// Sharded, thread-safe LRU cache for prediction vectors. Keys are opaque
-/// strings (CachedModel composes model id + normalized statement +
-/// opt-cost bits); each shard holds capacity/num_shards entries behind its
-/// own mutex, so concurrent Predict calls from the thread pool rarely
-/// contend.
+/// strings (ResilientModel composes model generation + precision tier +
+/// opt-cost bits + normalized statement); each shard holds
+/// capacity/num_shards entries behind its own mutex, so concurrent lookups
+/// rarely contend. Nothing is ever invalidated: a key names the model
+/// version whose answer it holds, and unused entries age out.
 class PredictionCache {
  public:
   /// `capacity` = max cached entries across all shards (floored at one per
@@ -38,9 +39,6 @@ class PredictionCache {
   /// Inserts (or refreshes) key -> value, evicting the shard's least
   /// recently used entry when over capacity.
   void Put(const std::string& key, std::vector<float> value);
-
-  /// Drops every entry (model retrained / reloaded).
-  void Clear();
 
   /// One coherent-enough counter snapshot. Counters are per-shard relaxed
   /// atomics folded on read: increments from concurrent server threads are

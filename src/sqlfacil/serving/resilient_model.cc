@@ -1,8 +1,12 @@
 #include "sqlfacil/serving/resilient_model.h"
 
 #include <chrono>
+#include <cstring>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
+#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
 
@@ -77,56 +81,140 @@ void CircuitBreaker::RecordFailure() {
   }
 }
 
+namespace {
+
+/// Prediction-cache entries per shard.
+constexpr size_t kCacheCapacity = 1 << 16;
+/// Miss index of a slot the cache answered.
+constexpr size_t kHit = static_cast<size_t>(-1);
+
+/// Cache keys of a batch under one pinned generation and the active
+/// precision tier: (generation, tier, opt-cost bits, normalized statement).
+/// opt_cost keys by exact bit pattern: only the opt baseline reads it, but
+/// merging two calls that differ in it would be wrong for that model.
+std::vector<std::string> CacheKeys(uint64_t generation,
+                                   std::span<const std::string> statements,
+                                   std::span<const double> opt_costs) {
+  std::string prefix = std::to_string(generation);
+  prefix.push_back('\x1f');
+  prefix += nn::quant::PrecisionName(nn::quant::ActivePrecision());
+  prefix.push_back('\x1f');
+  std::vector<std::string> keys(statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    const double cost = opt_costs.empty() ? 0.0 : opt_costs[i];
+    uint64_t cost_bits = 0;
+    static_assert(sizeof(cost_bits) == sizeof(cost));
+    std::memcpy(&cost_bits, &cost, sizeof(cost_bits));
+    keys[i] = prefix;
+    keys[i] += std::to_string(cost_bits);
+    keys[i].push_back('\x1f');
+    keys[i] += NormalizeStatement(statements[i]);
+  }
+  return keys;
+}
+
+}  // namespace
+
 ResilientModel::ResilientModel(models::ModelPtr primary,
                                models::ModelPtr baseline,
                                ResilientOptions options)
     : baseline_(std::move(baseline)),
       options_(options),
+      cache_(kCacheCapacity),
       breaker_(options.breaker_failure_threshold,
                options.breaker_cooldown_requests) {
   SQLFACIL_CHECK(baseline_ != nullptr);
   if (primary != nullptr) {
-    primary_ = std::make_unique<CachedModel>(std::move(primary),
-                                             options_.cache_capacity);
+    // Never published: the lifecycle.swap failpoint and the registry's
+    // counters do not see a plain model.
+    fixed_ = std::make_shared<const lifecycle::ModelVersion>(
+        lifecycle::ModelVersion{.generation = 1,
+                                .source_generation = 1,
+                                .model = std::move(primary),
+                                .note = "fixed"});
   }
 }
 
-Status ResilientModel::Fit(const models::Dataset& train,
-                           const models::Dataset& valid, Rng* rng) {
-  // Baseline first: even if the primary blows up mid-training, degraded
-  // serving has something to answer with.
-  baseline_->Fit(train, valid, rng);
-  if (primary_ == nullptr) {
-    return Status::Ok();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  primary_usable_ = false;  // Fit mutates primary state in place.
+ResilientModel::ResilientModel(const lifecycle::ModelRegistry* registry,
+                               models::ModelPtr baseline,
+                               ResilientOptions options)
+    : ResilientModel(models::ModelPtr(), std::move(baseline), options) {
+  registry_ = registry;
+}
+
+bool ResilientModel::ServePrimary(const models::Model& model,
+                                  const std::vector<std::string>& keys,
+                                  std::span<const std::string> statements,
+                                  std::span<const double> opt_costs,
+                                  ServedBatch* batch) const {
+  const size_t n = statements.size();
+  std::vector<std::vector<float>> preds(n);
+  // Dedup the misses so each distinct key costs one inference even when
+  // the batch repeats statements; first_slot[m] holds miss m's key.
+  std::unordered_map<std::string_view, size_t> miss_of_key;
+  std::vector<size_t> miss_of(n, kHit);
+  std::vector<size_t> first_slot;
+  std::vector<std::string> miss_statements;
+  std::vector<double> miss_costs;
   try {
-    primary_->Fit(train, valid, rng);
-  } catch (const std::exception& e) {
-    breaker_.RecordFailure();
-    return Status::Internal(std::string("primary model Fit failed: ") +
-                            e.what());
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < n; ++i) {
+      if (auto hit = cache_.Get(keys[i])) {
+        preds[i] = std::move(*hit);
+        continue;
+      }
+      auto [it, inserted] = miss_of_key.emplace(keys[i], first_slot.size());
+      if (inserted) {
+        first_slot.push_back(i);
+        miss_statements.push_back(statements[i]);
+        miss_costs.push_back(opt_costs.empty() ? 0.0 : opt_costs[i]);
+      }
+      miss_of[i] = it->second;
+    }
+    std::vector<std::vector<float>> miss_preds;
+    if (!miss_statements.empty()) {
+      miss_preds = model.PredictBatch(miss_statements, miss_costs);
+    }
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    if (options_.batch_deadline_ms > 0.0 &&
+        elapsed_ms > options_.batch_deadline_ms) {
+      // Late primary results are discarded — a caller with a deadline has
+      // already moved on, so serving them would be a lie about latency —
+      // and never cached, so the stale tier cannot pass them off as the
+      // answer of an earlier, successful call.
+      batch->deadline_exceeded = true;
+      return false;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (miss_of[i] != kHit) preds[i] = miss_preds[miss_of[i]];
+    }
+    for (size_t m = 0; m < miss_preds.size(); ++m) {
+      cache_.Put(keys[first_slot[m]], std::move(miss_preds[m]));
+    }
   } catch (...) {
-    breaker_.RecordFailure();
-    return Status::Internal("primary model Fit failed");
+    // Primary inference failed (model bug, failpoint, broken cache
+    // backend). The caller degrades.
+    return false;
   }
-  primary_usable_ = true;
-  return Status::Ok();
+  batch->predictions = std::move(preds);
+  batch->provenance.assign(n, Tier::kPrimary);
+  return true;
 }
 
-void ResilientModel::ServeFallback(std::span<const std::string> statements,
+void ResilientModel::ServeFallback(const std::vector<std::string>& keys,
+                                   std::span<const std::string> statements,
                                    std::span<const double> opt_costs,
                                    ServedBatch* batch) const {
   for (size_t i = 0; i < statements.size(); ++i) {
     if (batch->provenance[i] != Tier::kFailed) continue;
-    const double cost = opt_costs.empty() ? 0.0 : opt_costs[i];
-    // Tier 2: a stale prediction-cache entry from an earlier successful
-    // primary call. The cache itself may be failing (cache.get failpoint) —
-    // a throw here just skips the tier.
-    if (primary_ != nullptr) {
+    // Tier 2: the pinned generation's entry from an earlier successful
+    // primary batch (no keys without a version). The cache itself may be
+    // failing (cache.get failpoint) — a throw here just skips the tier.
+    if (!keys.empty()) {
       try {
-        if (auto hit = primary_->Lookup(statements[i], cost)) {
+        if (auto hit = cache_.Get(keys[i])) {
           batch->predictions[i] = std::move(*hit);
           batch->provenance[i] = Tier::kStaleCache;
           continue;
@@ -138,7 +226,8 @@ void ResilientModel::ServeFallback(std::span<const std::string> statements,
     // Tier 3: the always-cheap baseline.
     try {
       failpoint::MaybeFail("baseline.predict");
-      batch->predictions[i] = baseline_->Predict(statements[i], cost);
+      batch->predictions[i] = baseline_->Predict(
+          statements[i], opt_costs.empty() ? 0.0 : opt_costs[i]);
       batch->provenance[i] = Tier::kBaseline;
     } catch (...) {
       // Tier 4: nothing left; the slot stays empty and kFailed.
@@ -149,41 +238,28 @@ void ResilientModel::ServeFallback(std::span<const std::string> statements,
 ServedBatch ResilientModel::PredictBatch(
     std::span<const std::string> statements,
     std::span<const double> opt_costs) const {
+  SQLFACIL_CHECK(opt_costs.empty() || opt_costs.size() == statements.size())
+      << "PredictBatch opt_costs size mismatch";
   const size_t n = statements.size();
   ServedBatch batch;
   batch.predictions.resize(n);
   batch.provenance.assign(n, Tier::kFailed);
   if (n == 0) return batch;
 
+  // One pin per batch: every slot is answered and keyed by this version,
+  // however many publishes land while the batch runs.
+  const lifecycle::VersionPtr version =
+      registry_ != nullptr ? registry_->Current() : fixed_;
+  std::vector<std::string> keys;
   bool try_primary = false;
-  {
+  if (version != nullptr) {
+    keys = CacheKeys(version->generation, statements, opt_costs);
     std::lock_guard<std::mutex> lock(mu_);
-    try_primary =
-        primary_ != nullptr && primary_usable_ && breaker_.AllowRequest();
+    try_primary = breaker_.AllowRequest();
   }
   if (try_primary) {
-    bool ok = false;
-    try {
-      const auto start = std::chrono::steady_clock::now();
-      auto preds = primary_->PredictBatch(statements, opt_costs);
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (options_.batch_deadline_ms > 0.0 &&
-          elapsed_ms > options_.batch_deadline_ms) {
-        // Late primary results are discarded — a caller with a deadline has
-        // already moved on, so serving them would be a lie about latency.
-        batch.deadline_exceeded = true;
-      } else {
-        batch.predictions = std::move(preds);
-        batch.provenance.assign(n, Tier::kPrimary);
-        ok = true;
-      }
-    } catch (...) {
-      // Primary inference failed (model bug, failpoint, broken cache
-      // backend). Degrade below.
-    }
+    const bool ok =
+        ServePrimary(*version->model, keys, statements, opt_costs, &batch);
     std::lock_guard<std::mutex> lock(mu_);
     if (ok) {
       breaker_.RecordSuccess();
@@ -193,7 +269,7 @@ ServedBatch ResilientModel::PredictBatch(
   }
 
   if (batch.provenance[0] != Tier::kPrimary) {
-    ServeFallback(statements, opt_costs, &batch);
+    ServeFallback(keys, statements, opt_costs, &batch);
   }
 
   size_t failed = 0;
@@ -235,10 +311,6 @@ CircuitBreaker::State ResilientModel::breaker_state() const {
 CircuitBreaker::Transitions ResilientModel::breaker_transitions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return breaker_.transitions();
-}
-
-void ResilientModel::BindVersionSource(const std::atomic<uint64_t>* source) {
-  if (primary_ != nullptr) primary_->BindVersionSource(source);
 }
 
 ResilientModel::TierCounts ResilientModel::tier_counts() const {

@@ -1,7 +1,6 @@
 #ifndef SQLFACIL_SERVING_RESILIENT_MODEL_H_
 #define SQLFACIL_SERVING_RESILIENT_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -9,8 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "sqlfacil/lifecycle/model_registry.h"
 #include "sqlfacil/models/model.h"
-#include "sqlfacil/serving/cached_model.h"
+#include "sqlfacil/serving/prediction_cache.h"
 #include "sqlfacil/util/status.h"
 
 namespace sqlfacil::serving {
@@ -73,11 +73,11 @@ struct ResilientOptions {
   int breaker_cooldown_requests = 4;
   /// Per-batch deadline for the primary tier, in milliseconds. A primary
   /// batch that completes but overruns the deadline is *discarded* (its
-  /// results never reach the caller) and counts as a breaker failure.
-  /// 0 disables the deadline (the default: wall-clock deadlines are
-  /// inherently nondeterministic, so determinism sweeps leave this off).
+  /// results neither reach the caller nor the cache) and counts as a
+  /// breaker failure. 0 disables the deadline (the default: wall-clock
+  /// deadlines are inherently nondeterministic, so determinism sweeps leave
+  /// this off).
   double batch_deadline_ms = 0.0;
-  size_t cache_capacity = CachedModel::kDefaultCapacity;
 };
 
 /// One served batch: predictions plus per-query provenance. `status` is OK
@@ -90,14 +90,27 @@ struct ServedBatch {
   bool deadline_exceeded = false;
 };
 
-/// Graceful-degradation serving chain (ISSUE 4 tentpole, part 3):
+/// A serving shard's whole chain over immutable model versions:
 ///
-///   primary model (cached)  ->  stale cache entry  ->  baseline  ->  failed
+///   cached primary  ->  stale cache entry  ->  baseline  ->  failed
 ///
-/// The primary is wrapped in a CachedModel so successful batches populate a
-/// prediction cache; when the primary starts throwing (or the breaker is
-/// open, or the batch deadline is exceeded) earlier answers are served from
-/// that cache, and cache misses fall back to an always-available baseline
+/// Each PredictBatch pins one lifecycle::ModelVersion (the registry's
+/// Current(), or the fixed version of a shard built from a plain model) and
+/// looks every statement up in the shard's prediction cache under
+/// (pinned generation, precision tier, opt-cost bits, normalized
+/// statement). The distinct misses go through the pinned version's
+/// PredictBatch in one call and are cached under the same keys — only
+/// after the batch met its deadline. A cached value is therefore always
+/// the answer of the generation its key names: a hot swap needs no clear
+/// and no epoch re-check, and entries of older generations are never
+/// looked up again and age out of the LRU. The paper's workloads repeat
+/// heavily (fig20_repetition), and a hit is bit-identical to a cold miss
+/// because the cached vector IS the miss's answer and normalization is
+/// semantics-preserving (see NormalizeStatement).
+///
+/// When the primary throws (or the breaker is open, or the batch deadline
+/// is exceeded) earlier answers of the pinned generation are served from
+/// the cache, and cache misses fall back to an always-available baseline
 /// (mfreq for classification, median for regression). Every response is
 /// tagged with its tier so callers can observe degradation.
 ///
@@ -107,37 +120,26 @@ struct ServedBatch {
 /// is call-counted, not timed.
 class ResilientModel {
  public:
-  /// `primary` may be null: serving then starts degraded (baseline tier),
-  /// which is exactly the posture after a failed checkpoint load.
-  /// `baseline` must be non-null and cheap enough to never fail.
+  /// Serves `primary` (already trained or loaded) as a fixed generation-1
+  /// version. `primary` may be null: serving then starts degraded (baseline
+  /// tier), which is exactly the posture after a failed checkpoint load.
+  /// `baseline` must be non-null, trained, and cheap enough to never fail.
   ResilientModel(models::ModelPtr primary, models::ModelPtr baseline,
                  ResilientOptions options = {});
 
-  /// Fits the baseline first (so degraded serving works even if the primary
-  /// blows up mid-training), then the primary. A primary Fit that throws
-  /// leaves the previous primary state alone, records a breaker failure and
-  /// returns kInternal — serving continues on lower tiers.
-  Status Fit(const models::Dataset& train, const models::Dataset& valid,
-             Rng* rng);
+  /// Serves whatever `registry` publishes; an empty (or null) registry
+  /// serves the baseline tier. The registry must outlive this model.
+  ResilientModel(const lifecycle::ModelRegistry* registry,
+                 models::ModelPtr baseline, ResilientOptions options = {});
 
   /// Serves a batch through the degradation chain. Never throws and never
   /// aborts: failures surface as lower-tier provenance or a typed status.
   ServedBatch PredictBatch(std::span<const std::string> statements,
                            std::span<const double> opt_costs = {}) const;
 
-  bool has_primary() const { return primary_ != nullptr; }
-  /// Cached wrapper around the primary (null when constructed without one).
-  const CachedModel* primary() const { return primary_.get(); }
-  const models::Model& baseline() const { return *baseline_; }
-
   CircuitBreaker::State breaker_state() const;
   CircuitBreaker::Transitions breaker_transitions() const;
-
-  /// Forwards to the primary CachedModel's version binding (no-op without
-  /// a primary): attaches a lifecycle::ModelRegistry publish epoch so a
-  /// hot swap invalidates this shard's prediction cache. Bind at setup,
-  /// before serving traffic.
-  void BindVersionSource(const std::atomic<uint64_t>* source);
+  PredictionCache::Stats cache_stats() const { return cache_.GetStats(); }
 
   /// Cumulative per-tier response counts (monotonic; for tests/telemetry).
   struct TierCounts {
@@ -149,17 +151,27 @@ class ResilientModel {
   TierCounts tier_counts() const;
 
  private:
-  void ServeFallback(std::span<const std::string> statements,
+  /// Serves `batch` from the primary tier: cache hits under `keys` plus one
+  /// `model.PredictBatch` over the distinct misses, which are then cached.
+  /// Returns false, leaving `batch`'s slots and the cache untouched, when
+  /// the call throws or overruns the batch deadline.
+  bool ServePrimary(const models::Model& model,
+                    const std::vector<std::string>& keys,
+                    std::span<const std::string> statements,
+                    std::span<const double> opt_costs,
+                    ServedBatch* batch) const;
+  /// Answers every kFailed slot from the stale cache (under `keys`; none
+  /// when empty) or the baseline.
+  void ServeFallback(const std::vector<std::string>& keys,
+                     std::span<const std::string> statements,
                      std::span<const double> opt_costs,
                      ServedBatch* batch) const;
 
-  std::unique_ptr<CachedModel> primary_;
+  const lifecycle::ModelRegistry* registry_ = nullptr;
+  lifecycle::VersionPtr fixed_;  ///< plain-model shards; null = none
   models::ModelPtr baseline_;
   ResilientOptions options_;
-  /// False while the primary holds no servable state (a Fit that threw
-  /// part-way leaves it half-mutated). Constructed true: a primary loaded
-  /// from a checkpoint is servable without a Fit call.
-  bool primary_usable_ = true;
+  mutable PredictionCache cache_;
 
   mutable std::mutex mu_;
   mutable CircuitBreaker breaker_;

@@ -4,20 +4,9 @@
 #include <utility>
 
 #include "sqlfacil/util/drain.h"
-#include "sqlfacil/util/env.h"
 #include "sqlfacil/util/logging.h"
 
 namespace sqlfacil::serving {
-
-ServerOptions ServerOptions::FromEnv() {
-  ServerOptions options;
-  options.batch_window_us = GetBatchWindowUsFromEnv(options.batch_window_us);
-  options.max_batch =
-      static_cast<size_t>(GetMaxBatchFromEnv(static_cast<int>(options.max_batch)));
-  options.queue_depth = static_cast<size_t>(
-      GetQueueDepthFromEnv(static_cast<int>(options.queue_depth)));
-  return options;
-}
 
 Server::Server(const ShardFactory& factory, ServerOptions options)
     : options_(options) {
@@ -232,13 +221,11 @@ Server::Stats Server::GetStats() const {
     stats.tiers.stale_cache += tiers.stale_cache;
     stats.tiers.baseline += tiers.baseline;
     stats.tiers.failed += tiers.failed;
-    if (const CachedModel* cached = shard->model->primary()) {
-      const PredictionCache::Stats cache = cached->cache().GetStats();
-      stats.cache.hits += cache.hits;
-      stats.cache.misses += cache.misses;
-      stats.cache.evictions += cache.evictions;
-      stats.cache.size += cache.size;
-    }
+    const PredictionCache::Stats cache = shard->model->cache_stats();
+    stats.cache.hits += cache.hits;
+    stats.cache.misses += cache.misses;
+    stats.cache.evictions += cache.evictions;
+    stats.cache.size += cache.size;
     const CircuitBreaker::Transitions transitions =
         shard->model->breaker_transitions();
     stats.breaker.opens += transitions.opens;

@@ -59,9 +59,7 @@ class ModelRef : public models::Model {
   models::Model* inner_;
 };
 
-/// Server configuration. The three load-facing knobs mirror the
-/// SQLFACIL_BATCH_WINDOW_US / SQLFACIL_MAX_BATCH / SQLFACIL_QUEUE_DEPTH
-/// environment variables (FromEnv reads them).
+/// Server configuration.
 struct ServerOptions {
   /// Worker shards. Each shard owns a batcher thread, a bounded admission
   /// queue and a ResilientModel; requests route to shards by statement hash
@@ -80,10 +78,6 @@ struct ServerOptions {
   /// whose deadline expires while it waits in a batch window is answered
   /// with kDeadlineExceeded and never reaches the model.
   int64_t default_deadline_us = 0;
-
-  /// Defaults with batch_window_us / max_batch / queue_depth overridden from
-  /// the environment.
-  static ServerOptions FromEnv();
 };
 
 /// One served reply. `status` is OK exactly when `prediction` holds a model
@@ -124,8 +118,9 @@ struct ServerReply {
 class Server {
  public:
   using ReplyCallback = std::function<void(ServerReply)>;
-  /// Builds shard `i`'s ResilientModel. Share trained weights across shards
-  /// by wrapping them in ModelRef; the ResilientModel itself (cache,
+  /// Builds shard `i`'s ResilientModel. Shards share weights by serving
+  /// one lifecycle::ModelRegistry (the registry constructor) or by wrapping
+  /// one trained model in ModelRef; the ResilientModel itself (cache,
   /// breaker) must be exclusive to the shard.
   using ShardFactory =
       std::function<std::unique_ptr<ResilientModel>(size_t shard)>;
@@ -186,9 +181,6 @@ class Server {
   bool PollDrain();
 
   size_t num_shards() const { return shards_.size(); }
-  const ResilientModel& shard_model(size_t shard) const {
-    return *shards_[shard]->model;
-  }
   const ServerOptions& options() const { return options_; }
 
  private:

@@ -36,27 +36,6 @@ int GetThreadsFromEnv() {
   return threads >= 1 ? threads : fallback;
 }
 
-int64_t GetBatchWindowUsFromEnv(int64_t fallback) {
-  const char* v = std::getenv("SQLFACIL_BATCH_WINDOW_US");
-  if (v == nullptr) return fallback;
-  const long long window = std::atoll(v);
-  return window >= 0 ? static_cast<int64_t>(window) : fallback;
-}
-
-int GetMaxBatchFromEnv(int fallback) {
-  const char* v = std::getenv("SQLFACIL_MAX_BATCH");
-  if (v == nullptr) return fallback;
-  const int max_batch = std::atoi(v);
-  return max_batch >= 1 ? max_batch : fallback;
-}
-
-int GetQueueDepthFromEnv(int fallback) {
-  const char* v = std::getenv("SQLFACIL_QUEUE_DEPTH");
-  if (v == nullptr) return fallback;
-  const int depth = std::atoi(v);
-  return depth >= 1 ? depth : fallback;
-}
-
 std::string GetSnapshotDirFromEnv() {
   const char* v = std::getenv("SQLFACIL_SNAPSHOT_DIR");
   return v == nullptr ? std::string() : std::string(v);

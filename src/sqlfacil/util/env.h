@@ -33,21 +33,6 @@ int GetSimdFromEnv();
 /// "fp32" the float tier, unset/other returns -1 meaning the default (fp32).
 int GetPrecisionFromEnv();
 
-/// Reads SQLFACIL_BATCH_WINDOW_US (default `fallback`): how long the serving
-/// micro-batcher holds a partial batch open for more requests, in
-/// microseconds. 0 disables coalescing (strict per-query serving). Negative
-/// values fall back.
-int64_t GetBatchWindowUsFromEnv(int64_t fallback);
-
-/// Reads SQLFACIL_MAX_BATCH (default `fallback`): the largest batch the
-/// serving micro-batcher flushes into PredictBatch. Values < 1 fall back.
-int GetMaxBatchFromEnv(int fallback);
-
-/// Reads SQLFACIL_QUEUE_DEPTH (default `fallback`): per-shard admission
-/// queue bound; a full queue rejects with kResourceExhausted instead of
-/// blocking. Values < 1 fall back.
-int GetQueueDepthFromEnv(int fallback);
-
 /// Reads SQLFACIL_SNAPSHOT_DIR: the directory training snapshots are written
 /// to (and resumed from). Empty / unset disables snapshotting.
 std::string GetSnapshotDirFromEnv();

@@ -1,6 +1,7 @@
-// Tests for the model lifecycle subsystem (ISSUE 10): registry publish /
-// rollback semantics and the seqlock publish epoch, the serving bridge
-// (RegistryModel degradation, swap-safe prediction caching), the shadow
+// Tests for the model lifecycle subsystem: registry publish / rollback
+// semantics, serving a registry (an empty registry degrades to the
+// baseline; a swap that lands mid-batch never plants an entry of the wrong
+// generation in the prediction cache), the shadow
 // gate + auto-rollback state machine under lifecycle failpoints, drift
 // detection on schema-shifted traffic, the streaming trainer's retrain
 // rounds, and a swap-storm-under-concurrent-predict soak (the prime TSan
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,7 +26,6 @@
 #include "sqlfacil/models/dataset.h"
 #include "sqlfacil/models/model.h"
 #include "sqlfacil/models/tfidf_model.h"
-#include "sqlfacil/serving/cached_model.h"
 #include "sqlfacil/serving/loadgen.h"
 #include "sqlfacil/serving/resilient_model.h"
 #include "sqlfacil/serving/server.h"
@@ -113,9 +114,6 @@ TEST(ModelRegistryTest, PublishIsGenerationMonotonic) {
   EXPECT_EQ(registry.generation(), 2u);
   EXPECT_EQ(registry.num_published(), 2u);
   EXPECT_EQ(registry.RetainedGenerations(), (std::vector<uint64_t>{1, 2}));
-  // The publish epoch is even (no swap in flight) and moved twice.
-  EXPECT_EQ(registry.version_epoch()->load() % 2, 0u);
-  EXPECT_EQ(registry.version_epoch()->load(), 4u);
 
   auto null_publish = registry.Publish(nullptr, "null");
   EXPECT_EQ(null_publish.status().code(), StatusCode::kInvalidArgument);
@@ -165,7 +163,6 @@ TEST(ModelRegistryTest, RollbackStepsThroughDistinctSnapshots) {
 TEST(ModelRegistryTest, SwapFailpointLeavesIncumbentIntact) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(GoodModel("a"), "seed").ok());
-  const uint64_t epoch_before = registry.version_epoch()->load();
   {
     failpoint::ScopedFailpoints fp("lifecycle.swap:error");
     auto published = registry.Publish(BadModel("b"), "doomed");
@@ -176,13 +173,13 @@ TEST(ModelRegistryTest, SwapFailpointLeavesIncumbentIntact) {
   // No half-published generation: nothing moved.
   EXPECT_EQ(registry.generation(), 1u);
   EXPECT_EQ(registry.Current()->model->name(), "a");
-  EXPECT_EQ(registry.version_epoch()->load(), epoch_before);
+  EXPECT_EQ(registry.num_published(), 1u);
   EXPECT_EQ(registry.RetainedGenerations(), (std::vector<uint64_t>{1}));
   // Cleared: the same publish now lands.
   EXPECT_TRUE(registry.Publish(BadModel("b"), "retry").ok());
 }
 
-// --- Serving bridge --------------------------------------------------------
+// --- Serving a registry ----------------------------------------------------
 
 TEST(RegistryModelTest, EmptyRegistryDegradesToBaseline) {
   Dataset train;
@@ -196,9 +193,7 @@ TEST(RegistryModelTest, EmptyRegistryDegradesToBaseline) {
   baseline->Fit(train, train, &rng);
 
   ModelRegistry registry;
-  serving::ResilientModel model(std::make_unique<RegistryModel>(&registry),
-                                std::move(baseline));
-  model.BindVersionSource(registry.version_epoch());
+  serving::ResilientModel model(&registry, std::move(baseline));
 
   const std::vector<std::string> batch = {"SELECT a FROM t"};
   auto served = model.PredictBatch(batch);
@@ -213,23 +208,63 @@ TEST(RegistryModelTest, EmptyRegistryDegradesToBaseline) {
   EXPECT_EQ(served.provenance[0], serving::Tier::kPrimary);
 }
 
-TEST(CachedModelTest, HotSwapInvalidatesPredictionCache) {
+// Publishes a replacement generation from inside its own first
+// PredictBatch: the swap lands after the serving batch pinned this model
+// but before the batch caches its answers.
+class SwapMidBatchModel : public FnModel {
+ public:
+  SwapMidBatchModel(ModelRegistry* registry,
+                    std::shared_ptr<const models::Model> next)
+      : FnModel("swaps-mid-batch", 3, &TrueLabel),
+        registry_(registry),
+        next_(std::move(next)) {}
+
+  std::vector<std::vector<float>> PredictBatch(
+      std::span<const std::string> statements,
+      std::span<const double> opt_costs) const override {
+    if (!swapped_) {
+      swapped_ = true;
+      EXPECT_TRUE(registry_->Publish(next_, "mid-batch").ok());
+    }
+    return FnModel::PredictBatch(statements, opt_costs);
+  }
+
+ private:
+  ModelRegistry* registry_;
+  std::shared_ptr<const models::Model> next_;
+  mutable bool swapped_ = false;
+};
+
+TEST(RegistryServingTest, SwapMidBatchCachesUnderPinnedGeneration) {
   ModelRegistry registry;
-  ASSERT_TRUE(registry.Publish(GoodModel("a"), "seed").ok());
-  serving::CachedModel cached(std::make_unique<RegistryModel>(&registry));
-  cached.BindVersionSource(registry.version_epoch());
+  auto gen2 = BadModel("b");
+  ASSERT_TRUE(registry
+                  .Publish(std::make_shared<SwapMidBatchModel>(&registry, gen2),
+                           "seed")
+                  .ok());
+  serving::ResilientModel model(&registry,
+                                std::make_unique<models::MfreqModel>());
 
-  const std::string stmt = "SELECT objid FROM photoobj";
-  const std::vector<float> before = cached.Predict(stmt, 0.0);
-  EXPECT_EQ(cached.Predict(stmt, 0.0), before);  // warm hit
-  EXPECT_GT(cached.cache().GetStats().hits, 0u);
+  const std::vector<std::string> batch = {"SELECT objid FROM photoobj"};
+  const std::vector<float> gen1_answer = GoodModel("a")->Predict(batch[0], 0.0);
+  const std::vector<float> gen2_answer = gen2->Predict(batch[0], 0.0);
+  ASSERT_NE(gen1_answer, gen2_answer);
 
-  ASSERT_TRUE(registry.Publish(BadModel("b"), "swap").ok());
-  // The swap bumped the publish epoch: the next lookup must re-infer on
-  // the new generation, never serve the old generation's cached bits.
-  const std::vector<float> after = cached.Predict(stmt, 0.0);
-  EXPECT_NE(after, before);
-  EXPECT_EQ(after, registry.Current()->model->Predict(stmt, 0.0));
+  // Generation 1 answers the batch during which generation 2 went live.
+  serving::ServedBatch served = model.PredictBatch(batch);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_EQ(served.provenance[0], serving::Tier::kPrimary);
+  EXPECT_EQ(served.predictions[0], gen1_answer);
+  EXPECT_EQ(registry.generation(), 2u);
+
+  // Its answer was cached under generation 1, so the next batch for the
+  // same statement misses and is answered by generation 2.
+  served = model.PredictBatch(batch);
+  EXPECT_EQ(served.provenance[0], serving::Tier::kPrimary);
+  EXPECT_EQ(served.predictions[0], gen2_answer);
+  const auto stats = model.cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
 }
 
 // --- SwapController --------------------------------------------------------
@@ -589,10 +624,8 @@ TEST(LifecycleConcurrencyTest, SwapStormNeverFailsARequest) {
         Rng rng(17);
         auto baseline = std::make_unique<models::MfreqModel>();
         baseline->Fit(train, train, &rng);
-        auto model = std::make_unique<serving::ResilientModel>(
-            std::make_unique<RegistryModel>(&registry), std::move(baseline));
-        model->BindVersionSource(registry.version_epoch());
-        return model;
+        return std::make_unique<serving::ResilientModel>(
+            &registry, std::move(baseline));
       },
       options);
 

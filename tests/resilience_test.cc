@@ -533,18 +533,27 @@ TEST(CircuitBreakerTest, CooldownThenHalfOpenProbe) {
 
 // --- ResilientModel degradation chain --------------------------------------
 
+// Fits an mfreq baseline, then `primary` (one Rng, in that order), and
+// serves them.
+std::unique_ptr<ResilientModel> TrainAndServe(
+    std::unique_ptr<models::Model> primary, const Dataset& train,
+    const Dataset& valid, ResilientOptions options = {}) {
+  auto baseline = std::make_unique<models::MfreqModel>();
+  Rng rng(7);
+  baseline->Fit(train, valid, &rng);
+  primary->Fit(train, valid, &rng);
+  return std::make_unique<ResilientModel>(std::move(primary),
+                                          std::move(baseline), options);
+}
+
 class ResilientModelTest : public ::testing::Test {
  protected:
   std::unique_ptr<ResilientModel> MakeServing(ResilientOptions options = {}) {
     models::TfidfModel::Config config;
     config.granularity = sql::Granularity::kWord;
     config.epochs = 2;
-    auto serving = std::make_unique<ResilientModel>(
-        std::make_unique<models::TfidfModel>(config),
-        std::make_unique<models::MfreqModel>(), options);
-    Rng rng(7);
-    EXPECT_TRUE(serving->Fit(train_, valid_, &rng).ok());
-    return serving;
+    return TrainAndServe(std::make_unique<models::TfidfModel>(config), train_,
+                         valid_, options);
   }
 
   std::vector<std::string> Queries(size_t n, uint64_t seed) const {
@@ -638,7 +647,11 @@ TEST_F(ResilientModelTest, SlowPrimaryTripsBatchDeadline) {
   for (Tier t : batch.provenance) {
     EXPECT_NE(t, Tier::kPrimary) << "late primary result was served";
     EXPECT_NE(t, Tier::kFailed);
+    // Never served before: the late answers must not have been cached and
+    // come back as stale entries of an "earlier successful" call.
+    EXPECT_EQ(t, Tier::kBaseline);
   }
+  EXPECT_EQ(serving->cache_stats().size, 0u);
 }
 
 TEST_F(ResilientModelTest, FailingCacheDegradesToBaselineNotCrash) {
@@ -655,32 +668,15 @@ TEST_F(ResilientModelTest, FailingCacheDegradesToBaselineNotCrash) {
 TEST_F(ResilientModelTest, AllTiersFailingYieldsTypedStatusNotAbort) {
   // No primary at all (the posture after a failed checkpoint load) and a
   // failing baseline: the response is a typed error, never an abort.
-  ResilientModel serving(nullptr, std::make_unique<models::MfreqModel>());
+  auto baseline = std::make_unique<models::MfreqModel>();
   Rng rng(7);
-  ASSERT_TRUE(serving.Fit(train_, valid_, &rng).ok());
+  baseline->Fit(train_, valid_, &rng);
+  ResilientModel serving(nullptr, std::move(baseline));
   failpoint::ScopedFailpoints fp("baseline.predict:throw");
   const auto batch = serving.PredictBatch(Queries(3, 71));
   ASSERT_FALSE(batch.status.ok());
   EXPECT_EQ(batch.status.code(), StatusCode::kInternal);
   for (Tier t : batch.provenance) EXPECT_EQ(t, Tier::kFailed);
-}
-
-TEST_F(ResilientModelTest, PrimaryFitFailureKeepsBaselineServing) {
-  models::TfidfModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  ResilientModel serving(std::make_unique<models::TfidfModel>(config),
-                         std::make_unique<models::MfreqModel>());
-  Rng rng(7);
-  Status fit_status;
-  {
-    failpoint::ScopedFailpoints fp("model.fit:throw");
-    fit_status = serving.Fit(train_, valid_, &rng);
-  }
-  ASSERT_FALSE(fit_status.ok());
-  // The half-trained primary is never served; the baseline answers.
-  const auto batch = serving.PredictBatch(Queries(4, 81));
-  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
-  for (Tier t : batch.provenance) EXPECT_EQ(t, Tier::kBaseline);
 }
 
 // --- End-to-end under failpoints -------------------------------------------
@@ -756,15 +752,13 @@ TEST(ResilienceEndToEndTest, EndToEndUnderEnvFailpoints) {
 TEST(ResilienceEndToEndTest, ForcedPrimaryOutageServesBaselineAnswers) {
   models::TfidfModel::Config config;
   config.granularity = sql::Granularity::kWord;
-  ResilientModel serving(std::make_unique<models::TfidfModel>(config),
-                         std::make_unique<models::MfreqModel>());
   const Dataset train = SyntheticClassification(40, 93);
-  Rng rng(7);
-  ASSERT_TRUE(serving.Fit(train, train, &rng).ok());
+  const auto serving = TrainAndServe(
+      std::make_unique<models::TfidfModel>(config), train, train);
 
   failpoint::ScopedFailpoints fp("model.predict:throw");
   const auto queries = SyntheticClassification(12, 94).statements;
-  const auto batch = serving.PredictBatch(queries);
+  const auto batch = serving->PredictBatch(queries);
   ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(batch.provenance[i] == Tier::kBaseline ||
@@ -774,7 +768,7 @@ TEST(ResilienceEndToEndTest, ForcedPrimaryOutageServesBaselineAnswers) {
     for (float p : batch.predictions[i]) sum += p;
     EXPECT_NEAR(sum, 1.0f, 1e-4f);
   }
-  EXPECT_EQ(serving.tier_counts().primary, 0u);
+  EXPECT_EQ(serving->tier_counts().primary, 0u);
 }
 
 // --- Determinism under faults ----------------------------------------------
@@ -811,10 +805,8 @@ TEST(FaultDeterminismTest, DegradedServingBitIdenticalAcrossSimdAndThreads) {
       models::TfidfModel::Config config;
       config.granularity = sql::Granularity::kWord;
       config.epochs = 2;
-      ResilientModel serving(std::make_unique<models::TfidfModel>(config),
-                             std::make_unique<models::MfreqModel>());
-      Rng rng(7);
-      ASSERT_TRUE(serving.Fit(train, valid, &rng).ok());
+      const auto serving = TrainAndServe(
+          std::make_unique<models::TfidfModel>(config), train, valid);
 
       // Counters reset with each configuration: the fault schedule is the
       // same for every (simd, threads) combination.
@@ -823,7 +815,7 @@ TEST(FaultDeterminismTest, DegradedServingBitIdenticalAcrossSimdAndThreads) {
       std::vector<std::vector<float>> preds;
       for (int round = 0; round < 6; ++round) {
         const auto& queries = (round % 2 == 0) ? batch_a : batch_b;
-        const auto batch = serving.PredictBatch(queries);
+        const auto batch = serving->PredictBatch(queries);
         ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
         tiers.insert(tiers.end(), batch.provenance.begin(),
                      batch.provenance.end());

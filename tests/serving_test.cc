@@ -1,7 +1,8 @@
 // Tests for the batched inference fast path: arena lifetime, SIMD kernel
 // bit-identity across dispatch, PredictBatch == per-query Predict for every
-// model family, and the prediction cache (hits bit-identical to misses,
-// normalization, LRU eviction, invalidation on refit).
+// model family, the serving chain's prediction cache (hits bit-identical to
+// misses, normalization, LRU eviction, batch dedup, precision tier and
+// opt-cost in the key), and the serving front end.
 
 #include <gtest/gtest.h>
 
@@ -26,11 +27,12 @@
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/tfidf_model.h"
 #include "sqlfacil/nn/arena.h"
+#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/serving/admission_queue.h"
-#include "sqlfacil/serving/cached_model.h"
 #include "sqlfacil/serving/loadgen.h"
 #include "sqlfacil/serving/prediction_cache.h"
+#include "sqlfacil/serving/resilient_model.h"
 #include "sqlfacil/serving/server.h"
 #include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/failpoint.h"
@@ -474,79 +476,75 @@ TEST(PredictionCacheTest, LruEviction) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
+// --- Serving cache (ResilientModel's generation-keyed prediction cache) ----
+
+// A serving chain over a plain (already trained) model: a fixed
+// generation-1 version with an mfreq baseline.
+std::unique_ptr<serving::ResilientModel> WrapResilient(
+    std::unique_ptr<models::Model> primary) {
+  return std::make_unique<serving::ResilientModel>(
+      std::move(primary), std::make_unique<models::MfreqModel>());
+}
+
+// Serves `statement` alone and returns its primary-tier answer.
+std::vector<float> ServeOne(const serving::ResilientModel& model,
+                            const std::string& statement,
+                            double opt_cost = 0.0) {
+  const std::vector<std::string> statements = {statement};
+  const std::vector<double> opt_costs = {opt_cost};
+  serving::ServedBatch served = model.PredictBatch(statements, opt_costs);
+  EXPECT_EQ(served.provenance[0], serving::Tier::kPrimary);
+  return std::move(served.predictions[0]);
+}
+
+std::unique_ptr<models::Model> TrainedWordTfidf(const Dataset& train,
+                                                int epochs) {
+  models::TfidfModel::Config config;
+  config.epochs = epochs;
+  config.granularity = sql::Granularity::kWord;
+  auto model = std::make_unique<models::TfidfModel>(config);
+  Rng rng(7);
+  model->Fit(train, train, &rng);
+  return model;
+}
+
 TEST(CachedModelTest, HitBitIdenticalToColdMiss) {
   const Dataset train = SyntheticClassification(60, 11);
-  models::TfidfModel::Config config;
-  config.epochs = 2;
-  config.granularity = sql::Granularity::kWord;
-  serving::CachedModel model(
-      std::make_unique<models::TfidfModel>(config));
-  Rng rng(7);
-  model.Fit(train, train, &rng);
+  const auto model = WrapResilient(TrainedWordTfidf(train, 2));
 
   const std::string q = train.statements[0];
-  const auto cold = model.Predict(q, 0.0);  // miss, populates cache
-  const auto hit = model.Predict(q, 0.0);   // hit
+  const auto cold = ServeOne(*model, q);  // miss, populates cache
+  const auto hit = ServeOne(*model, q);   // hit
   ASSERT_EQ(cold.size(), hit.size());
   for (size_t i = 0; i < cold.size(); ++i) EXPECT_EQ(cold[i], hit[i]);
-  EXPECT_GE(model.cache().hits(), 1u);
+  EXPECT_GE(model->cache_stats().hits, 1u);
 
   // Whitespace-variant statement hits the same entry and returns the same
   // bits (normalization is semantics-preserving for the tokenizers).
-  const auto variant = model.Predict("  " + q + "\n", 0.0);
+  const auto variant = ServeOne(*model, "  " + q + "\n");
   for (size_t i = 0; i < cold.size(); ++i) EXPECT_EQ(cold[i], variant[i]);
 }
 
 TEST(CachedModelTest, BatchDedupAndCachePopulation) {
   const Dataset train = SyntheticClassification(60, 12);
-  models::TfidfModel::Config config;
-  config.epochs = 2;
-  config.granularity = sql::Granularity::kWord;
-  serving::CachedModel model(
-      std::make_unique<models::TfidfModel>(config));
-  Rng rng(7);
-  model.Fit(train, train, &rng);
+  const auto model = WrapResilient(TrainedWordTfidf(train, 2));
 
   std::vector<std::string> batch = {
       train.statements[0], train.statements[1], train.statements[0],
       "  " + train.statements[1]};  // [2],[3] duplicate [0],[1] by key
-  const auto preds = model.PredictBatch(batch);
+  const auto preds = model->PredictBatch(batch).predictions;
   ASSERT_EQ(preds.size(), 4u);
   for (size_t c = 0; c < preds[0].size(); ++c) {
     EXPECT_EQ(preds[0][c], preds[2][c]);
     EXPECT_EQ(preds[1][c], preds[3][c]);
   }
   // Only the two distinct keys were inserted.
-  EXPECT_EQ(model.cache().size(), 2u);
+  EXPECT_EQ(model->cache_stats().size, 2u);
 
   // A repeat batch is all hits and bit-identical.
-  const auto again = model.PredictBatch(batch);
+  const auto again = model->PredictBatch(batch).predictions;
   ExpectBitIdentical(preds, again);
-}
-
-TEST(CachedModelTest, FitInvalidatesCache) {
-  const Dataset train_a = SyntheticClassification(60, 13);
-  const Dataset train_b = SyntheticClassification(60, 14);
-  models::TfidfModel::Config config;
-  config.epochs = 2;
-  config.granularity = sql::Granularity::kWord;
-  serving::CachedModel model(
-      std::make_unique<models::TfidfModel>(config));
-  Rng rng(7);
-  model.Fit(train_a, train_a, &rng);
-  const size_t gen = model.generation();
-  (void)model.Predict(train_a.statements[0], 0.0);
-  EXPECT_GE(model.cache().size(), 1u);
-
-  Rng rng2(8);
-  model.Fit(train_b, train_b, &rng2);
-  EXPECT_EQ(model.generation(), gen + 1);
-  EXPECT_EQ(model.cache().size(), 0u);
-  // Post-refit prediction reflects the new parameters, not the stale cache.
-  const auto fresh = model.Predict(train_a.statements[0], 0.0);
-  const auto direct = model.inner().Predict(train_a.statements[0], 0.0);
-  ASSERT_EQ(fresh.size(), direct.size());
-  for (size_t i = 0; i < fresh.size(); ++i) EXPECT_EQ(fresh[i], direct[i]);
+  EXPECT_EQ(model->cache_stats().hits, 4u);
 }
 
 TEST(CachedModelTest, PrecisionSwitchInvalidatesCache) {
@@ -557,50 +555,44 @@ TEST(CachedModelTest, PrecisionSwitchInvalidatesCache) {
   config.hidden_dim = 12;
   config.num_layers = 1;
   config.epochs = 1;
-  serving::CachedModel model(std::make_unique<models::LstmModel>(config));
+  auto lstm = std::make_unique<models::LstmModel>(config);
   Rng rng(7);
   nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
-  model.Fit(train, train, &rng);
+  lstm->Fit(train, train, &rng);
+  const models::Model& inner = *lstm;
+  const auto model = WrapResilient(std::move(lstm));
 
   const std::string q = train.statements[0];
-  const auto fp32_pred = model.Predict(q, 0.0);
-  EXPECT_GE(model.cache().size(), 1u);
-  const size_t gen = model.generation();
+  const auto fp32_pred = ServeOne(*model, q);
+  EXPECT_EQ(model->cache_stats().size, 1u);
 
-  // Switching tiers invalidates on the next lookup: no fp32 entry may be
-  // served as an int8 result.
+  // The tier is part of the key: no fp32 entry may be served as an int8
+  // result, so the int8 lookup misses and caches an entry of its own.
   nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
-  const auto int8_pred = model.Predict(q, 0.0);
-  EXPECT_EQ(model.generation(), gen + 1);
-  const auto int8_direct = model.inner().Predict(q, 0.0);
+  const auto int8_pred = ServeOne(*model, q);
+  EXPECT_EQ(model->cache_stats().size, 2u);
+  const auto int8_direct = inner.Predict(q, 0.0);
   ASSERT_EQ(int8_pred.size(), int8_direct.size());
   for (size_t i = 0; i < int8_pred.size(); ++i) {
     EXPECT_EQ(int8_pred[i], int8_direct[i]);
   }
 
-  // Switching back invalidates again and reproduces the fp32 bits.
+  // Switching back reproduces the fp32 bits.
   nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
-  const auto back = model.Predict(q, 0.0);
-  EXPECT_EQ(model.generation(), gen + 2);
+  const auto back = ServeOne(*model, q);
   ASSERT_EQ(back.size(), fp32_pred.size());
   for (size_t i = 0; i < back.size(); ++i) EXPECT_EQ(back[i], fp32_pred[i]);
+  const auto fp32_direct = inner.Predict(q, 0.0);
+  for (size_t i = 0; i < back.size(); ++i) EXPECT_EQ(back[i], fp32_direct[i]);
   nn::quant::SetActivePrecision(saved);
 }
 
 TEST(CachedModelTest, OptCostIsPartOfTheKey) {
-  serving::PredictionCache cache(4, 1);
-  (void)cache;
   const Dataset train = SyntheticClassification(40, 15);
-  models::TfidfModel::Config config;
-  config.epochs = 1;
-  config.granularity = sql::Granularity::kWord;
-  serving::CachedModel model(
-      std::make_unique<models::TfidfModel>(config));
-  Rng rng(7);
-  model.Fit(train, train, &rng);
-  (void)model.Predict(train.statements[0], 1.0);
-  (void)model.Predict(train.statements[0], 2.0);
-  EXPECT_EQ(model.cache().size(), 2u);
+  const auto model = WrapResilient(TrainedWordTfidf(train, 1));
+  (void)ServeOne(*model, train.statements[0], 1.0);
+  (void)ServeOne(*model, train.statements[0], 2.0);
+  EXPECT_EQ(model->cache_stats().size, 2u);
 }
 
 // --- AdmissionQueue --------------------------------------------------------
@@ -761,12 +753,6 @@ class CountingModel : public models::Model {
  private:
   mutable std::atomic<int> calls_{0};
 };
-
-std::unique_ptr<serving::ResilientModel> WrapResilient(
-    std::unique_ptr<models::Model> primary) {
-  return std::make_unique<serving::ResilientModel>(
-      std::move(primary), std::make_unique<models::MfreqModel>());
-}
 
 TEST(ServerTest, QueueFullRejectsWithResourceExhausted) {
   auto owned = std::make_unique<BlockingModel>();

@@ -460,33 +460,6 @@ TEST(LatencyHistogramTest, MicrosecondHelpers) {
   EXPECT_NEAR(h.MeanUs(), 1.5, 1e-9);
 }
 
-TEST(EnvTest, ServingKnobDefaults) {
-  unsetenv("SQLFACIL_BATCH_WINDOW_US");
-  unsetenv("SQLFACIL_MAX_BATCH");
-  unsetenv("SQLFACIL_QUEUE_DEPTH");
-  EXPECT_EQ(GetBatchWindowUsFromEnv(50), 50);
-  EXPECT_EQ(GetMaxBatchFromEnv(32), 32);
-  EXPECT_EQ(GetQueueDepthFromEnv(1024), 1024);
-}
-
-TEST(EnvTest, ServingKnobsReadAndClamp) {
-  setenv("SQLFACIL_BATCH_WINDOW_US", "250", 1);
-  setenv("SQLFACIL_MAX_BATCH", "8", 1);
-  setenv("SQLFACIL_QUEUE_DEPTH", "64", 1);
-  EXPECT_EQ(GetBatchWindowUsFromEnv(50), 250);
-  EXPECT_EQ(GetMaxBatchFromEnv(32), 8);
-  EXPECT_EQ(GetQueueDepthFromEnv(1024), 64);
-  setenv("SQLFACIL_BATCH_WINDOW_US", "-5", 1);
-  setenv("SQLFACIL_MAX_BATCH", "0", 1);
-  setenv("SQLFACIL_QUEUE_DEPTH", "-1", 1);
-  EXPECT_EQ(GetBatchWindowUsFromEnv(50), 50);
-  EXPECT_EQ(GetMaxBatchFromEnv(32), 32);
-  EXPECT_EQ(GetQueueDepthFromEnv(1024), 1024);
-  unsetenv("SQLFACIL_BATCH_WINDOW_US");
-  unsetenv("SQLFACIL_MAX_BATCH");
-  unsetenv("SQLFACIL_QUEUE_DEPTH");
-}
-
 TEST(EnvTest, ReadsValues) {
   setenv("SQLFACIL_SCALE", "2.5", 1);
   setenv("SQLFACIL_EPOCHS", "9", 1);

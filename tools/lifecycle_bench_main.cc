@@ -6,9 +6,10 @@
 // Per run it:
 //   1. trains an incumbent on an SDSS/SQLShare-style session trace and
 //      publishes it into a lifecycle::ModelRegistry;
-//   2. stands up serving::Server whose shards serve through RegistryModel
-//      (swap-aware prediction caches bound to the registry's publish
-//      epoch) and hammers it from paced closed-loop clients;
+//   2. stands up serving::Server whose shards serve the registry (each
+//      batch pins one published version and keys its prediction cache by
+//      that version's generation) and hammers it from paced closed-loop
+//      clients;
 //   3. drives >= --swaps hot swaps through the SwapController state
 //      machine (shadow -> gate -> promote -> watch) while the load runs,
 //      tolerating SQLFACIL_FAILPOINTS="lifecycle.swap:error@nN" storms
@@ -62,7 +63,6 @@ namespace {
 using sqlfacil::Rng;
 using sqlfacil::lifecycle::DriftDetector;
 using sqlfacil::lifecycle::ModelRegistry;
-using sqlfacil::lifecycle::RegistryModel;
 using sqlfacil::lifecycle::StreamTrainer;
 using sqlfacil::lifecycle::SwapController;
 using sqlfacil::models::Dataset;
@@ -219,10 +219,8 @@ int main(int argc, char** argv) {
         Rng rng(args.seed + 17);
         auto baseline = std::make_unique<sqlfacil::models::MfreqModel>();
         baseline->Fit(trace_ds, trace_ds, &rng);
-        auto model = std::make_unique<sqlfacil::serving::ResilientModel>(
-            std::make_unique<RegistryModel>(&registry), std::move(baseline));
-        model->BindVersionSource(registry.version_epoch());
-        return model;
+        return std::make_unique<sqlfacil::serving::ResilientModel>(
+            &registry, std::move(baseline));
       },
       options);
 

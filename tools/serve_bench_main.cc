@@ -56,9 +56,9 @@ struct Args {
   double duration_s = 1.0;
   double warmup_s = 0.25;
   std::vector<double> rates = {4000.0, 12000.0, 0.0};  // 0 = unpaced max
-  int64_t window_us = -1;       // -1 = from env/default
-  int max_batch = -1;           // -1 = from env/default
-  int queue_depth = -1;         // -1 = from env/default
+  int64_t window_us = -1;       // -1 = ServerOptions default
+  int max_batch = -1;           // -1 = ServerOptions default
+  int queue_depth = -1;         // -1 = ServerOptions default
   int64_t deadline_us = 0;      // per-request deadline (0 = none)
   int64_t slo_us = 2000;        // p99 SLO checked at the middle rate
   double dup_rate = 0.185;
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  ServerOptions base_options = ServerOptions::FromEnv();
+  ServerOptions base_options;
   base_options.num_shards = args.shards;
   if (args.window_us >= 0) base_options.batch_window_us = args.window_us;
   if (args.max_batch >= 1) {
