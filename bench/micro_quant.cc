@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "sqlfacil/nn/infer.h"
 #include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd_int8.h"
+#include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/random.h"
 
 namespace sqlfacil {
@@ -29,7 +31,6 @@ namespace {
 
 using models::Dataset;
 using models::TaskKind;
-using nn::quant::Precision;
 
 Dataset SyntheticClassification(size_t n, uint64_t seed) {
   Dataset data;
@@ -67,24 +68,37 @@ const Dataset& EvalData() {
   return data;
 }
 
+// One family's trained fp32 model and its int8 copy: the fp32 checkpoint
+// loaded into a fresh model, then quantized. The LSTM calibrates over the
+// training split, the held-out slice the models were fit against.
 template <typename Model>
-const Model& Trained(typename Model::Config config) {
-  static Model* model = [](typename Model::Config cfg) {
-    auto* m = new Model(std::move(cfg));
+struct Tiers {
+  Model fp32;
+  Model int8;
+};
+
+template <typename Model>
+const Tiers<Model>& Trained(const typename Model::Config& config) {
+  static const Tiers<Model>* tiers = [&config] {
+    auto* t = new Tiers<Model>{Model(config), Model(config)};
     Rng rng(7);
-    m->Fit(TrainData(), TrainData(), &rng);
-    return m;
-  }(std::move(config));
-  return *model;
+    t->fp32.Fit(TrainData(), TrainData(), &rng);
+    std::stringstream checkpoint;
+    SQLFACIL_CHECK(t->fp32.SaveTo(checkpoint).ok());
+    SQLFACIL_CHECK(t->int8.LoadFrom(checkpoint).ok());
+    SQLFACIL_CHECK(t->int8.Quantize(TrainData().statements).ok());
+    return t;
+  }();
+  return *tiers;
 }
 
-const models::CnnModel& Cnn() {
+const Tiers<models::CnnModel>& Cnn() {
   models::CnnModel::Config config;
   config.epochs = 1;
   return Trained<models::CnnModel>(config);
 }
 
-const models::LstmModel& Lstm() {
+const Tiers<models::LstmModel>& Lstm() {
   models::LstmModel::Config config;
   config.epochs = 1;
   config.num_layers = 2;
@@ -99,18 +113,6 @@ double PercentileUs(std::vector<double> v, double p) {
                                                         v.size())));
   return v[idx];
 }
-
-/// RAII tier switch for one benchmark's scope.
-class TierScope {
- public:
-  explicit TierScope(Precision p) : saved_(nn::quant::ActivePrecision()) {
-    nn::quant::SetActivePrecision(p);
-  }
-  ~TierScope() { nn::quant::SetActivePrecision(saved_); }
-
- private:
-  Precision saved_;
-};
 
 // --- kernel-level: fp32 MatMul vs int8 quad-dot GEMM -----------------------
 
@@ -177,9 +179,7 @@ BENCHMARK(BM_GemmInt8)->Apply(GemmArgs);
 
 // --- serving shapes per tier ----------------------------------------------
 
-void SingleLatency(benchmark::State& state, const models::Model& model,
-                   Precision tier) {
-  TierScope scope(tier);
+void SingleLatency(benchmark::State& state, const models::Model& model) {
   const auto& queries = ServeQueries();
   std::vector<double> lat_us;
   lat_us.reserve(1 << 12);
@@ -197,9 +197,7 @@ void SingleLatency(benchmark::State& state, const models::Model& model,
   state.counters["p99_us"] = PercentileUs(lat_us, 99.0);
 }
 
-void BatchThroughput(benchmark::State& state, const models::Model& model,
-                     Precision tier) {
-  TierScope scope(tier);
+void BatchThroughput(benchmark::State& state, const models::Model& model) {
   const auto& queries = ServeQueries();
   for (auto _ : state) {
     auto preds = model.PredictBatch(queries);
@@ -210,16 +208,16 @@ void BatchThroughput(benchmark::State& state, const models::Model& model,
 }
 
 void BM_PredictSingle_ccnn_fp32(benchmark::State& state) {
-  SingleLatency(state, Cnn(), Precision::kFp32);
+  SingleLatency(state, Cnn().fp32);
 }
 void BM_PredictSingle_ccnn_int8(benchmark::State& state) {
-  SingleLatency(state, Cnn(), Precision::kInt8);
+  SingleLatency(state, Cnn().int8);
 }
 void BM_PredictSingle_clstm_fp32(benchmark::State& state) {
-  SingleLatency(state, Lstm(), Precision::kFp32);
+  SingleLatency(state, Lstm().fp32);
 }
 void BM_PredictSingle_clstm_int8(benchmark::State& state) {
-  SingleLatency(state, Lstm(), Precision::kInt8);
+  SingleLatency(state, Lstm().int8);
 }
 BENCHMARK(BM_PredictSingle_ccnn_fp32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictSingle_ccnn_int8)->Unit(benchmark::kMicrosecond);
@@ -227,16 +225,16 @@ BENCHMARK(BM_PredictSingle_clstm_fp32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictSingle_clstm_int8)->Unit(benchmark::kMicrosecond);
 
 void BM_PredictBatch_ccnn_fp32(benchmark::State& state) {
-  BatchThroughput(state, Cnn(), Precision::kFp32);
+  BatchThroughput(state, Cnn().fp32);
 }
 void BM_PredictBatch_ccnn_int8(benchmark::State& state) {
-  BatchThroughput(state, Cnn(), Precision::kInt8);
+  BatchThroughput(state, Cnn().int8);
 }
 void BM_PredictBatch_clstm_fp32(benchmark::State& state) {
-  BatchThroughput(state, Lstm(), Precision::kFp32);
+  BatchThroughput(state, Lstm().fp32);
 }
 void BM_PredictBatch_clstm_int8(benchmark::State& state) {
-  BatchThroughput(state, Lstm(), Precision::kInt8);
+  BatchThroughput(state, Lstm().int8);
 }
 BENCHMARK(BM_PredictBatch_ccnn_fp32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictBatch_ccnn_int8)->Unit(benchmark::kMicrosecond);
@@ -245,14 +243,14 @@ BENCHMARK(BM_PredictBatch_clstm_int8)->Unit(benchmark::kMicrosecond);
 
 // --- accuracy delta (counters; the loop only re-reads precomputed values) --
 
-void AccuracyDelta(benchmark::State& state, const models::Model& model) {
+void AccuracyDelta(benchmark::State& state, const models::Model& fp32,
+                   const models::Model& int8) {
   const Dataset& eval = EvalData();
   double acc[2] = {0.0, 0.0};
   double mean_dp = 0.0, max_dp = 0.0;
   std::vector<std::vector<float>> preds[2];
   for (int tier = 0; tier < 2; ++tier) {
-    TierScope scope(tier == 0 ? Precision::kFp32 : Precision::kInt8);
-    preds[tier] = model.PredictBatch(eval.statements);
+    preds[tier] = (tier == 0 ? fp32 : int8).PredictBatch(eval.statements);
     size_t correct = 0;
     for (size_t i = 0; i < eval.size(); ++i) {
       const auto& p = preds[tier][i];
@@ -282,10 +280,10 @@ void AccuracyDelta(benchmark::State& state, const models::Model& model) {
 }
 
 void BM_Int8AccuracyDelta_ccnn(benchmark::State& state) {
-  AccuracyDelta(state, Cnn());
+  AccuracyDelta(state, Cnn().fp32, Cnn().int8);
 }
 void BM_Int8AccuracyDelta_clstm(benchmark::State& state) {
-  AccuracyDelta(state, Lstm());
+  AccuracyDelta(state, Lstm().fp32, Lstm().int8);
 }
 BENCHMARK(BM_Int8AccuracyDelta_ccnn)->Iterations(1);
 BENCHMARK(BM_Int8AccuracyDelta_clstm)->Iterations(1);

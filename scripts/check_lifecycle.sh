@@ -35,9 +35,7 @@ fi
 
 for seed in $SEEDS; do
   echo "== lifecycle chaos (seed $seed, $SWAPS swaps, lifecycle.swap storm) =="
-  out="$(SQLFACIL_LIFECYCLE=auto SQLFACIL_SHADOW_WINDOW=16 \
-         SQLFACIL_ROLLBACK_DELTA=0.05 \
-         SQLFACIL_FAILPOINTS="lifecycle.swap:error@n7" \
+  out="$(SQLFACIL_FAILPOINTS="lifecycle.swap:error@n7" \
          "$TOOL" --swaps "$SWAPS" --seed "$seed" --qps 300)" || {
     echo "$out"
     echo "CI_LIFECYCLE_FAILED: seed $seed" >&2

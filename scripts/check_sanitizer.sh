@@ -1,7 +1,7 @@
 #!/bin/sh
 # Builds the tree under one sanitizer and runs its leg: the ctest suites
-# labelled for it in tests/CMakeLists.txt (plain, then the `-int8` label
-# with SQLFACIL_PRECISION=int8), then the sanitizer's own extra runs.
+# labelled for it in tests/CMakeLists.txt, then the sanitizer's own extra
+# runs.
 # Usage: scripts/check_sanitizer.sh address|thread|undefined [build-dir]
 #        (default build-dir: build-asan, build-tsan or build-ubsan)
 # Prints ASAN_CLEAN / TSAN_CLEAN / UBSAN_CLEAN, or *_FAILURES.
@@ -43,11 +43,6 @@ run() {
 }
 run "labelled suites" ctest --test-dir "$BUILD_DIR" -L "^$TAG\$" \
   --output-on-failure
-# Tier-sensitive suites again with the quantized kernels dispatched.
-if [ -n "$(suites "$TAG-int8")" ]; then
-  run "labelled suites, SQLFACIL_PRECISION=int8" env SQLFACIL_PRECISION=int8 \
-    ctest --test-dir "$BUILD_DIR" -L "^$TAG-int8\$" --output-on-failure
-fi
 
 if [ "$MODE" != thread ]; then
   # Engine suite on the disk backend (slotted pages, buffer pool, B+ tree,

@@ -5,11 +5,11 @@
 # Usage: scripts/ci.sh [build-dir]   (default: build; the benchmark builds
 #        into <build-dir>-perfbench)
 # Exits non-zero on the first failing stage; prints one loud status line
-# per stage so logs are greppable (CI_TESTS_OK / CI_INT8_TESTS_OK /
-# CI_DISK_TESTS_OK / CI_WAL_TESTS_OK / CI_FAILPOINT_MATRIX_OK /
-# CI_STORAGE_MATRIX_OK / CI_WAL_MATRIX_OK / CI_SERVING_SOAK_OK /
-# CI_LIFECYCLE_OK / CI_PERFBENCH_OK / RESUME_CHAOS_OK /
-# CI_CRASH_RECOVERY_OK / ASAN_CLEAN / TSAN_CLEAN / UBSAN_CLEAN).
+# per stage so logs are greppable (CI_TESTS_OK / CI_DISK_TESTS_OK /
+# CI_WAL_TESTS_OK / CI_FAILPOINT_MATRIX_OK / CI_STORAGE_MATRIX_OK /
+# CI_WAL_MATRIX_OK / CI_SERVING_SOAK_OK / CI_LIFECYCLE_OK /
+# CI_PERFBENCH_OK / RESUME_CHAOS_OK / CI_CRASH_RECOVERY_OK / ASAN_CLEAN /
+# TSAN_CLEAN / UBSAN_CLEAN).
 set -eu
 BUILD_DIR="${1:-build}"
 
@@ -23,16 +23,6 @@ if ! ctest --test-dir "$BUILD_DIR" --output-on-failure; then
   exit 1
 fi
 echo "CI_TESTS_OK"
-
-echo "== int8 precision tier =="
-# Re-run the suite with the quantized tier active: every LSTM/CNN Predict
-# dispatches the int8 kernels, and the same bit-identity / accuracy
-# assertions must hold (the tier has its own determinism contract).
-if ! SQLFACIL_PRECISION=int8 ctest --test-dir "$BUILD_DIR" --output-on-failure; then
-  echo "CI_INT8_TESTS_FAILED" >&2
-  exit 1
-fi
-echo "CI_INT8_TESTS_OK"
 
 echo "== disk storage backend =="
 # Re-run the engine suite with every table on the disk backend (slotted

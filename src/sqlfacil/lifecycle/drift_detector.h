@@ -27,7 +27,7 @@ namespace sqlfacil::lifecycle {
 ///  2. **Label-histogram distance.** The reference phase also freezes a
 ///     label histogram; afterwards a rolling window of `detect_window`
 ///     labels is compared to it by total-variation distance and the alarm
-///     raises past `tv_threshold` (knob SQLFACIL_DRIFT_THRESHOLD).
+///     raises past `Options::tv_threshold`.
 ///
 /// The detector is single-writer (the lifecycle loop feeds it); it holds
 /// no locks. `Rearm()` clears the alarm and the CUSUM/rolling state after

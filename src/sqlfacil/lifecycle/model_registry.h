@@ -14,9 +14,11 @@
 
 namespace sqlfacil::lifecycle {
 
-/// One immutable, generation-numbered model snapshot. Once published the
-/// model behind it is never mutated: retraining produces a *new* snapshot
-/// and rollback republishes an *old* one under a fresh generation number.
+/// One immutable, generation-numbered model snapshot: (weights, precision
+/// tier, generation), the tier being the model's own (Model::Quantize). Once
+/// published the model behind it is never mutated: retraining or quantizing
+/// produces a *new* snapshot and rollback republishes an *old* one under a
+/// fresh generation number.
 struct ModelVersion {
   /// Monotonic publish counter (1 = first publish; 0 never appears).
   uint64_t generation = 0;

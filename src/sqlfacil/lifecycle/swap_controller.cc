@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "sqlfacil/util/env.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
 
@@ -28,18 +27,6 @@ double NowUs() {
 
 }  // namespace
 
-SwapController::Options SwapController::Options::FromEnv() {
-  Options o;
-  switch (GetLifecycleModeFromEnv()) {
-    case 1: o.mode = Mode::kShadow; break;
-    case 2: o.mode = Mode::kAuto; break;
-    default: o.mode = Mode::kOff; break;
-  }
-  o.shadow_window = GetShadowWindowFromEnv(o.shadow_window);
-  o.rollback_delta = GetRollbackDeltaFromEnv(o.rollback_delta);
-  return o;
-}
-
 SwapController::SwapController(ModelRegistry* registry, const Options& options)
     : registry_(registry), options_(options) {
   SQLFACIL_CHECK(registry_ != nullptr);
@@ -54,7 +41,7 @@ Status SwapController::SubmitCandidate(
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.mode == Mode::kOff) {
     return Status::InvalidArgument(
-        "lifecycle is off (SQLFACIL_LIFECYCLE=off); candidate rejected");
+        "lifecycle is off (Options::mode = kOff); candidate rejected");
   }
   if (candidate == nullptr) {
     return Status::InvalidArgument("cannot shadow a null candidate");

@@ -30,8 +30,8 @@ namespace sqlfacil::lifecycle {
 ///     below the pre-swap baseline the controller rolls the registry
 ///     back to the previous generation                          -> kIdle
 ///
-/// Knobs: SQLFACIL_LIFECYCLE=off|shadow|auto, SQLFACIL_SHADOW_WINDOW,
-/// SQLFACIL_ROLLBACK_DELTA (Options::FromEnv). A candidate that throws
+/// Knobs: Options::mode (off|shadow|auto), shadow_window and
+/// rollback_delta, set by the caller. A candidate that throws
 /// during shadow scoring — or whose scoring is failed by the
 /// `lifecycle.shadow_score` failpoint — counts those samples as wrong, so
 /// a broken candidate cannot pass the gate. A rollback whose publish is
@@ -64,10 +64,6 @@ class SwapController {
     /// Gate also fails when the candidate's mean scoring latency exceeds
     /// the incumbent's by more than this factor.
     double max_latency_ratio = 5.0;
-
-    /// SQLFACIL_LIFECYCLE / SQLFACIL_SHADOW_WINDOW /
-    /// SQLFACIL_ROLLBACK_DELTA over the defaults above.
-    static Options FromEnv();
   };
 
   /// Outcome of the most recent completed shadow window.

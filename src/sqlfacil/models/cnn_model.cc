@@ -191,10 +191,9 @@ const float* CnnModel::SliceLogits(
 
 double CnnModel::ValidLoss(const Dataset& valid) const {
   if (valid.size() == 0) return 0.0;
-  // The serving forward on the fp32 weights being trained, whatever tier
-  // serves: a re-fit must not be scored by the previous fit's int8 tier.
-  // Losses land in per-example slots and sum in example order for
-  // bit-identical results at any thread count.
+  // The serving forward on the fp32 weights being trained. Losses land in
+  // per-example slots and sum in example order for bit-identical results
+  // at any thread count.
   const auto encoded = EncodePadded(valid.statements);
   std::vector<double> losses(valid.size(), 0.0);
   ForEachSlice(valid.size(), [&](size_t qb, size_t qe, nn::Arena* arena) {
@@ -247,6 +246,9 @@ void CnnModel::FineTune(const Dataset& train, const Dataset& valid,
 
 void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
                          int epochs, Rng* rng) {
+  // The int8 tier was built from the weights this loop is about to change:
+  // drop it, so every exit (drain included) leaves an fp32 model.
+  quant_ = CnnQuant{};
   // Captured before the loop's first draw; a resumed epoch re-draws its
   // permutation and per-example dropout seeds from this stream position.
   const Rng::State entry_state = rng->state();
@@ -373,10 +375,6 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
     if (drained) break;
   }
   Restore(params, best);
-  // The int8 tier needs no data-dependent calibration (conv inputs are
-  // embedding rows with a static range), so every trained network quantizes
-  // immediately.
-  (void)Quantize({});
 }
 
 Status CnnModel::Quantize(std::span<const std::string> calibration) {
@@ -557,9 +555,7 @@ std::vector<std::vector<float>> CnnModel::PredictBatch(
   (void)opt_costs;
   failpoint::MaybeFail("model.predict");
   nn::simd::LogDispatchOnce();
-  const bool int8 = nn::quant::ActivePrecision() ==
-                        nn::quant::Precision::kInt8 &&
-                    quant_.ready();
+  const bool int8 = quant_.ready();
   const auto encoded = EncodePadded(statements);
   std::vector<std::vector<float>> preds(encoded.size());
   ForEachSlice(encoded.size(), [&](size_t qb, size_t qe, nn::Arena* arena) {

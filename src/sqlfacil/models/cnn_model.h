@@ -69,9 +69,9 @@ class CnnModel : public Model {
   /// max-abs range (the conv inputs ARE table rows, so the range is static —
   /// `calibration` is accepted for interface parity but unused) and each
   /// width's conv map quantizes per-tensor. Relu, max-over-time pooling, and
-  /// the head stay fp32. Fit/FineTune call this automatically.
+  /// the head stay fp32. Fit/FineTune drop the tier.
   Status Quantize(std::span<const std::string> calibration) override;
-  /// True when the int8 tier is built (SQLFACIL_PRECISION=int8 serves it).
+  /// True when the int8 tier is built, i.e. when Predict serves int8.
   bool quantized() const { return quant_.ready(); }
   /// Validation-loss trajectory of the last Fit/FineTune (one per epoch).
   const std::vector<double>& valid_history() const { return valid_history_; }

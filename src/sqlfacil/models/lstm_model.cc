@@ -88,10 +88,9 @@ size_t LstmModel::num_parameters() const {
 double LstmModel::ValidLoss(
     const Dataset& valid, const std::vector<std::vector<int>>& encoded) const {
   if (valid.size() == 0) return 0.0;
-  // The serving forward on the fp32 weights being trained, whatever tier
-  // serves: a re-fit must not be scored by the previous fit's int8 tier.
-  // Losses land in per-example slots and sum in example order for
-  // bit-identical results at any thread count.
+  // The serving forward on the fp32 weights being trained. Losses land in
+  // per-example slots and sum in example order for bit-identical results
+  // at any thread count.
   std::vector<double> losses(valid.size(), 0.0);
   ForEachBucket(encoded, config_.batch_size, /*parallel=*/true,
                 [&](const std::vector<int>* const* seqs, const size_t* idx,
@@ -119,6 +118,10 @@ double LstmModel::ValidLoss(
 
 void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   failpoint::MaybeFail("model.fit");
+  // The int8 tier was built from the weights this fit replaces: drop it, so
+  // every exit (drain included) leaves an fp32 model.
+  quant_ = nn::QuantLstmStack{};
+  hidden_scale_ = 0.0f;
   // Captured before any init draw: the fingerprint ties a snapshot to the
   // exact draw stream this run would produce, and a resumed epoch replays
   // from this stream's positions.
@@ -270,14 +273,6 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
     if (drained) break;
   }
   Restore(params, best);
-  // Auto-calibrate the int8 tier on a held-out slice (valid when available)
-  // so every trained model can serve SQLFACIL_PRECISION=int8 without an
-  // extra offline step; tools/quantize re-runs this on saved checkpoints.
-  const auto& cal_src = valid.size() > 0 ? valid.statements : train.statements;
-  const size_t cal_n = std::min<size_t>(cal_src.size(), 256);
-  if (cal_n > 0) {
-    (void)Quantize(std::span<const std::string>(cal_src.data(), cal_n));
-  }
 }
 
 Status LstmModel::SaveTo(std::ostream& out) const {
@@ -540,9 +535,7 @@ std::vector<std::vector<float>> LstmModel::PredictBatch(
   (void)opt_costs;
   failpoint::MaybeFail("model.predict");
   nn::simd::LogDispatchOnce();
-  const bool int8 = nn::quant::ActivePrecision() ==
-                        nn::quant::Precision::kInt8 &&
-                    quant_.ready();
+  const bool int8 = quant_.ready();
   const auto encoded =
       vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true);
   std::vector<std::vector<float>> preds(encoded.size());

@@ -67,9 +67,9 @@ class LstmModel : public Model {
   /// inference path over `calibration` to find max|h| (one shared u8 hidden
   /// scale), folds layer 0's token -> gate transform into an exact fp32
   /// lookup table, and quantizes the recurrent, stacked, and head weights.
-  /// Fit calls this automatically on a held-out slice after training.
+  /// Fit drops the tier.
   Status Quantize(std::span<const std::string> calibration) override;
-  /// True when the int8 tier is built (SQLFACIL_PRECISION=int8 serves it).
+  /// True when the int8 tier is built, i.e. when Predict serves int8.
   bool quantized() const { return quant_.ready(); }
   /// max|h| / 127 from the last calibration (0 when unquantized).
   float hidden_scale() const { return hidden_scale_; }

@@ -49,9 +49,16 @@ class Model {
 
   /// Builds the model's int8 inference tier from its trained fp32 weights,
   /// calibrating activation ranges over `calibration` statements (a held-out
-  /// split; typically a few hundred queries). After success the model serves
-  /// quantized when the SQLFACIL_PRECISION=int8 tier is active; fp32 serving
-  /// is unchanged. Default: unsupported.
+  /// split; typically a few hundred queries). After success Predict and
+  /// PredictBatch run the int8 kernels; the next Fit (or fine-tune) drops
+  /// the tier and the model serves fp32 again. SaveTo writes the tier, so a
+  /// loaded quantized checkpoint serves int8. Default: unsupported.
+  ///
+  /// Precision belongs to the model, and so to the published version that
+  /// serves it: a model behind a lifecycle::ModelVersion or a
+  /// serving::ModelRef is never trained, loaded or quantized while it is
+  /// served. To serve int8 next to fp32, publish a quantized copy as a new
+  /// generation.
   virtual Status Quantize(std::span<const std::string> calibration);
 
   /// Checkpointing: serializes the *trained* state. Default: unsupported.

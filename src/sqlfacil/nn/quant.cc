@@ -1,37 +1,9 @@
 #include "sqlfacil/nn/quant.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
-#include "sqlfacil/util/env.h"
-
 namespace sqlfacil::nn::quant {
-
-namespace {
-
-// Same non-racing contract as simd.cc's dispatch flag: the atomic keeps the
-// flag TSan-clean, callers must not flip the tier under running kernels.
-std::atomic<int> g_precision{-1};
-
-}  // namespace
-
-Precision ActivePrecision() {
-  int p = g_precision.load(std::memory_order_acquire);
-  if (p < 0) {
-    p = GetPrecisionFromEnv() == 1 ? 1 : 0;
-    g_precision.store(p, std::memory_order_release);
-  }
-  return static_cast<Precision>(p);
-}
-
-void SetActivePrecision(Precision p) {
-  g_precision.store(static_cast<int>(p), std::memory_order_release);
-}
-
-const char* PrecisionName(Precision p) {
-  return p == Precision::kInt8 ? "int8" : "fp32";
-}
 
 QuantizedTensor QuantizeWeights(const float* w, int k, int n) {
   QuantizedTensor q;

@@ -7,25 +7,14 @@
 
 namespace sqlfacil::nn::quant {
 
-/// The inference precision tier. fp32 is the float kernel family whose
+/// The int8 inference tier. fp32 is the float kernel family whose
 /// determinism contract lives in nn/simd.h; int8 is the quantized family of
-/// nn/simd_int8.h. The determinism contract holds *within* each tier: int8
-/// results are bit-identical across SQLFACIL_THREADS x SQLFACIL_SIMD, but
-/// (by design) differ from fp32 results.
-enum class Precision : int { kFp32 = 0, kInt8 = 1 };
-
-/// The active tier. Initialized on first use from SQLFACIL_PRECISION
-/// (fp32 | int8, default fp32).
-Precision ActivePrecision();
-
-/// Overrides the tier at runtime; for tests, benches, and serving tier
-/// switches. Must not race with running Predict calls (same contract as
-/// simd::SetEnabled).
-void SetActivePrecision(Precision p);
-
-/// Stable tier name ("fp32" | "int8"): cache keys, logs, bench labels.
-const char* PrecisionName(Precision p);
-
+/// nn/simd_int8.h. A model serves int8 once Model::Quantize has built its
+/// tier (or a quantized checkpoint was loaded), so the tier belongs to the
+/// model, not the process. The determinism contract holds *within* each
+/// tier: int8 results are bit-identical across SQLFACIL_THREADS x
+/// SQLFACIL_SIMD, but (by design) differ from fp32 results.
+///
 /// Quantization scheme (the tier's numeric definition, not a tunable):
 ///
 ///   weights      s8, per-tensor symmetric, range +-63:

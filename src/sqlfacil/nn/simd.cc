@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 
-#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/util/env.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -930,18 +929,12 @@ std::string DispatchReport() {
   InitOnce();
   const bool avx2 = HasAvx2();
   const bool on = g_enabled.load(std::memory_order_relaxed);
-  const bool int8 = quant::ActivePrecision() == quant::Precision::kInt8;
   std::string report = "simd dispatch: avx2=";
   report += avx2 ? "yes" : "no";
   report += " float-kernels=";
   report += on ? "avx2" : "scalar";
-  report += " precision=";
-  report += int8 ? "int8" : "fp32";
   report += " int8-kernels=";
   report += on ? (HasAvxVnni() ? "avx2+vnni" : "avx2") : "scalar";
-  if (int8 && !avx2) {
-    report += " (AVX2 unavailable: int8 tier runs the scalar reference path)";
-  }
   return report;
 }
 

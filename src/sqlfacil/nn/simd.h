@@ -41,10 +41,9 @@ bool Enabled();
 /// SIMD on/off bench sweeps. Must not race with running kernels.
 void SetEnabled(bool on);
 
-/// One-line dispatch report: CPU capability, the float kernel path, the
-/// active precision tier (nn/quant.h), and the int8 kernel path — including
-/// an explicit note when the int8 tier falls back to the scalar reference
-/// because AVX2 is unavailable, so the slowdown is never silent.
+/// One-line dispatch report: CPU capability, the float kernel path and the
+/// int8 kernel path, so a fall back to the scalar reference kernels is never
+/// silent.
 std::string DispatchReport();
 
 /// Logs DispatchReport() to stderr exactly once per process. The model

@@ -22,8 +22,8 @@ namespace sqlfacil::serving {
 std::string NormalizeStatement(const std::string& statement);
 
 /// Sharded, thread-safe LRU cache for prediction vectors. Keys are opaque
-/// strings (ResilientModel composes model generation + precision tier +
-/// opt-cost bits + normalized statement); each shard holds
+/// strings (ResilientModel composes model generation + opt-cost bits +
+/// normalized statement); each shard holds
 /// capacity/num_shards entries behind its own mutex, so concurrent lookups
 /// rarely contend. Nothing is ever invalidated: a key names the model
 /// version whose answer it holds, and unused entries age out.

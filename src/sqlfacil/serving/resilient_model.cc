@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
 
@@ -88,16 +87,15 @@ constexpr size_t kCacheCapacity = 1 << 16;
 /// Miss index of a slot the cache answered.
 constexpr size_t kHit = static_cast<size_t>(-1);
 
-/// Cache keys of a batch under one pinned generation and the active
-/// precision tier: (generation, tier, opt-cost bits, normalized statement).
-/// opt_cost keys by exact bit pattern: only the opt baseline reads it, but
-/// merging two calls that differ in it would be wrong for that model.
+/// Cache keys of a batch under one pinned generation: (generation, opt-cost
+/// bits, normalized statement). A generation names one model, and so one
+/// precision tier. opt_cost keys by exact bit pattern: only the opt baseline
+/// reads it, but merging two calls that differ in it would be wrong for that
+/// model.
 std::vector<std::string> CacheKeys(uint64_t generation,
                                    std::span<const std::string> statements,
                                    std::span<const double> opt_costs) {
   std::string prefix = std::to_string(generation);
-  prefix.push_back('\x1f');
-  prefix += nn::quant::PrecisionName(nn::quant::ActivePrecision());
   prefix.push_back('\x1f');
   std::vector<std::string> keys(statements.size());
   for (size_t i = 0; i < statements.size(); ++i) {

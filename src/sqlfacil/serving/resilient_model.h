@@ -97,8 +97,8 @@ struct ServedBatch {
 /// Each PredictBatch pins one lifecycle::ModelVersion (the registry's
 /// Current(), or the fixed version of a shard built from a plain model) and
 /// looks every statement up in the shard's prediction cache under
-/// (pinned generation, precision tier, opt-cost bits, normalized
-/// statement). The distinct misses go through the pinned version's
+/// (pinned generation, opt-cost bits, normalized statement). The
+/// distinct misses go through the pinned version's
 /// PredictBatch in one call and are cached under the same keys — only
 /// after the batch met its deadline. A cached value is therefore always
 /// the answer of the generation its key names: a hot swap needs no clear
@@ -107,6 +107,11 @@ struct ServedBatch {
 /// heavily (fig20_repetition), and a hit is bit-identical to a cold miss
 /// because the cached vector IS the miss's answer and normalization is
 /// semantics-preserving (see NormalizeStatement).
+///
+/// A version's precision tier is its model's (Model::Quantize), so a
+/// generation also names one tier. The model behind a served version is
+/// never trained, loaded or quantized while it is served; an int8 copy is
+/// published as a generation of its own.
 ///
 /// When the primary throws (or the breaker is open, or the batch deadline
 /// is exceeded) earlier answers of the pinned generation are served from

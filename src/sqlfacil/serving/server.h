@@ -26,7 +26,8 @@ namespace sqlfacil::serving {
 /// shards (inference state is thread-local throughout the nn layer, so
 /// concurrent Predict/PredictBatch on one model is safe) while each shard
 /// keeps its *own* ResilientModel — its own prediction cache, degradation
-/// chain and circuit breaker.
+/// chain and circuit breaker. The borrowed model is never trained, loaded
+/// or quantized while a shard serves it (see Model::Quantize).
 class ModelRef : public models::Model {
  public:
   explicit ModelRef(models::Model* inner) : inner_(inner) {}
@@ -107,7 +108,7 @@ struct ServerReply {
 ///   * merged latency telemetry (log-bucketed histograms, p50/p99/p999).
 ///
 /// Determinism contract: a reply's prediction bits equal
-/// Model::Predict(statement) under the active precision tier regardless of
+/// Model::Predict(statement) on the model's own precision tier regardless of
 /// batch composition — PredictBatch guarantees per-slot bit-identity with
 /// Predict, and the batcher only permutes batch membership. Turning the
 /// batch window on or off therefore never changes any answer, only latency.

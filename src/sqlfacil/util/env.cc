@@ -130,36 +130,6 @@ uint64_t GetWalCheckpointBytesFromEnv(uint64_t fallback) {
   return GetEnvBytes("SQLFACIL_WAL_CHECKPOINT_BYTES", fallback);
 }
 
-int GetLifecycleModeFromEnv() {
-  const char* v = std::getenv("SQLFACIL_LIFECYCLE");
-  if (v == nullptr) return 0;
-  const std::string s(v);
-  if (s == "shadow" || s == "1") return 1;
-  if (s == "auto" || s == "2") return 2;
-  return 0;
-}
-
-int GetShadowWindowFromEnv(int fallback) {
-  const char* v = std::getenv("SQLFACIL_SHADOW_WINDOW");
-  if (v == nullptr) return fallback;
-  const int window = std::atoi(v);
-  return window >= 1 ? window : fallback;
-}
-
-double GetRollbackDeltaFromEnv(double fallback) {
-  const char* v = std::getenv("SQLFACIL_ROLLBACK_DELTA");
-  if (v == nullptr) return fallback;
-  const double delta = std::atof(v);
-  return delta >= 0.0 ? delta : fallback;
-}
-
-double GetDriftThresholdFromEnv(double fallback) {
-  const char* v = std::getenv("SQLFACIL_DRIFT_THRESHOLD");
-  if (v == nullptr) return fallback;
-  const double threshold = std::atof(v);
-  return (threshold > 0.0 && threshold <= 1.0) ? threshold : fallback;
-}
-
 int GetWalRecoverFromEnv() {
   const char* v = std::getenv("SQLFACIL_WAL_RECOVER");
   if (v == nullptr) return 1;
@@ -173,15 +143,6 @@ int GetSimdFromEnv() {
   const std::string s(v);
   if (s == "0") return 0;
   if (s == "1") return 1;
-  return -1;
-}
-
-int GetPrecisionFromEnv() {
-  const char* v = std::getenv("SQLFACIL_PRECISION");
-  if (v == nullptr) return -1;
-  const std::string s(v);
-  if (s == "fp32" || s == "0") return 0;
-  if (s == "int8" || s == "1") return 1;
   return -1;
 }
 

@@ -29,10 +29,6 @@ int GetThreadsFromEnv();
 /// auto-detect.
 int GetSimdFromEnv();
 
-/// Reads SQLFACIL_PRECISION: "int8" selects the quantized inference tier,
-/// "fp32" the float tier, unset/other returns -1 meaning the default (fp32).
-int GetPrecisionFromEnv();
-
 /// Reads SQLFACIL_SNAPSHOT_DIR: the directory training snapshots are written
 /// to (and resumed from). Empty / unset disables snapshotting.
 std::string GetSnapshotDirFromEnv();
@@ -76,28 +72,6 @@ int GetWalFsyncEveryFromEnv(int fallback);
 /// suffixes allowed): a fuzzy checkpoint is taken and the log truncated
 /// once the log grows past this many bytes. 0 disables auto-checkpoints.
 uint64_t GetWalCheckpointBytesFromEnv(uint64_t fallback);
-
-/// Reads SQLFACIL_LIFECYCLE: "off"/"0"/unset returns 0 (lifecycle
-/// disabled — candidates are rejected), "shadow"/"1" returns 1 (shadow
-/// scoring only, verdicts recorded but nothing is ever published),
-/// "auto"/"2" returns 2 (gated promotion + automatic rollback).
-int GetLifecycleModeFromEnv();
-
-/// Reads SQLFACIL_SHADOW_WINDOW (default `fallback`): how many live
-/// samples a candidate is shadow-scored on before the promotion gate is
-/// evaluated (also the post-promotion watch window). Values < 1 fall back.
-int GetShadowWindowFromEnv(int fallback);
-
-/// Reads SQLFACIL_ROLLBACK_DELTA (default `fallback`): the accuracy
-/// regression (absolute, 0..1) a candidate may show versus the incumbent
-/// before the gate rejects it, and the live-accuracy drop after promotion
-/// that triggers automatic rollback. Negative values fall back.
-double GetRollbackDeltaFromEnv(double fallback);
-
-/// Reads SQLFACIL_DRIFT_THRESHOLD (default `fallback`): the label-histogram
-/// total-variation distance (0..1) past which the drift detector alarms.
-/// Values outside (0, 1] fall back.
-double GetDriftThresholdFromEnv(double fallback);
 
 /// Reads SQLFACIL_WAL_RECOVER (default 1): whether opening a durable
 /// table runs recovery over existing files. 0 truncates them instead

@@ -1,6 +1,6 @@
-// Verifies the parallelism determinism contract: training, prediction, and
-// workload generation produce bit-identical results at any thread count and
-// with the SIMD kernels enabled or disabled.
+// Verifies the parallelism determinism contract: training, prediction on
+// both precision tiers, and workload generation produce bit-identical
+// results at any thread count and with the SIMD kernels enabled or disabled.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
 #include "sqlfacil/workload/sdss.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -41,14 +42,19 @@ Dataset SyntheticClassification(size_t n, uint64_t seed) {
   return data;
 }
 
+// Fits `model` at `threads` threads and returns its answers on `valid`;
+// with `int8`, the answers of its int8 tier, quantized at the same threads.
 template <typename Model>
 std::vector<std::vector<float>> FitAndPredict(Model model,
                                               const Dataset& train,
                                               const Dataset& valid,
-                                              int threads) {
+                                              int threads, bool int8 = false) {
   ThreadPool::SetGlobalThreads(threads);
   Rng rng(7);
   model.Fit(train, valid, &rng);
+  if (int8) {
+    EXPECT_TRUE(model.Quantize(Calibration(train, valid)).ok());
+  }
   std::vector<std::vector<float>> preds;
   for (size_t i = 0; i < valid.size(); ++i) {
     preds.push_back(model.Predict(valid.statements[i], valid.opt_costs[i]));
@@ -85,15 +91,18 @@ TEST(DeterminismTest, LstmModelBitIdenticalAcrossThreadCounts) {
   config.num_layers = 1;
   config.epochs = 2;
   config.batch_size = 8;
-  const auto serial =
-      FitAndPredict(models::LstmModel(config), train, valid, 1);
-  const auto parallel =
-      FitAndPredict(models::LstmModel(config), train, valid, 8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].size(), parallel[i].size());
-    for (size_t c = 0; c < serial[i].size(); ++c) {
-      EXPECT_EQ(serial[i][c], parallel[i][c]) << "example " << i;
+  for (bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8 tier" : "fp32 tier");
+    const auto serial =
+        FitAndPredict(models::LstmModel(config), train, valid, 1, int8);
+    const auto parallel =
+        FitAndPredict(models::LstmModel(config), train, valid, 8, int8);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(serial[i].size(), parallel[i].size());
+      for (size_t c = 0; c < serial[i].size(); ++c) {
+        EXPECT_EQ(serial[i][c], parallel[i][c]) << "example " << i;
+      }
     }
   }
 }
@@ -109,14 +118,15 @@ class SimdGuard {
 };
 
 // The full contract sweep: every (simd, threads) combination must reproduce
-// the reference run bit for bit — training AND both prediction paths.
+// the reference run bit for bit — training AND both prediction paths, on
+// the fp32 tier and on the int8 tier quantized at that combination.
 template <typename Model, typename Config>
 void SweepSimdAndThreads(const Config& config, const Dataset& train,
                          const Dataset& valid) {
   SimdGuard guard;
-  std::vector<std::vector<float>> reference;
-  std::vector<std::vector<float>> reference_batch;
-  bool have_reference = false;
+  // Per tier (0 = fp32, 1 = int8): the first combination's answers.
+  std::vector<std::vector<float>> reference[2];
+  std::vector<std::vector<float>> reference_batch[2];
   for (bool simd_on : {false, true}) {
     if (simd_on && !nn::simd::HasAvx2()) continue;
     nn::simd::SetEnabled(simd_on);
@@ -125,31 +135,33 @@ void SweepSimdAndThreads(const Config& config, const Dataset& train,
       Model model(config);
       Rng rng(7);
       model.Fit(train, valid, &rng);
-      std::vector<std::vector<float>> preds;
-      for (size_t i = 0; i < valid.size(); ++i) {
-        preds.push_back(
-            model.Predict(valid.statements[i], valid.opt_costs[i]));
-      }
-      const auto batch =
-          model.PredictBatch(valid.statements, valid.opt_costs);
-      if (!have_reference) {
-        reference = preds;
-        reference_batch = batch;
-        have_reference = true;
-        continue;
-      }
-      ASSERT_EQ(reference.size(), preds.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(reference[i].size(), preds[i].size());
-        for (size_t c = 0; c < reference[i].size(); ++c) {
-          EXPECT_EQ(reference[i][c], preds[i][c])
-              << "simd=" << simd_on << " threads=" << threads << " example "
-              << i;
-          EXPECT_EQ(reference_batch[i][c], batch[i][c])
-              << "simd=" << simd_on << " threads=" << threads
-              << " batch example " << i;
+      OnBothTiers(model, Calibration(train, valid), [&] {
+        const int tier = model.quantized() ? 1 : 0;
+        std::vector<std::vector<float>> preds;
+        for (size_t i = 0; i < valid.size(); ++i) {
+          preds.push_back(
+              model.Predict(valid.statements[i], valid.opt_costs[i]));
         }
-      }
+        const auto batch =
+            model.PredictBatch(valid.statements, valid.opt_costs);
+        if (reference[tier].empty()) {
+          reference[tier] = preds;
+          reference_batch[tier] = batch;
+          return;
+        }
+        ASSERT_EQ(reference[tier].size(), preds.size());
+        for (size_t i = 0; i < preds.size(); ++i) {
+          ASSERT_EQ(reference[tier][i].size(), preds[i].size());
+          for (size_t c = 0; c < preds[i].size(); ++c) {
+            EXPECT_EQ(reference[tier][i][c], preds[i][c])
+                << "simd=" << simd_on << " threads=" << threads
+                << " example " << i;
+            EXPECT_EQ(reference_batch[tier][i][c], batch[i][c])
+                << "simd=" << simd_on << " threads=" << threads
+                << " batch example " << i;
+          }
+        }
+      });
     }
   }
   ThreadPool::SetGlobalThreads(1);
@@ -207,7 +219,9 @@ Dataset SyntheticRegression(size_t n, uint64_t seed) {
 // The training sweep: final weights (serialized bytes) and the per-epoch
 // validation-loss trajectory must be bit-identical across every
 // (simd, threads) combination — the shard boundaries, reduction order, and
-// loss sums depend only on the batch size and the shard cap.
+// loss sums depend only on the batch size and the shard cap. The neural
+// families quantize before saving, so the bytes also carry an int8 tier
+// calibrated at that combination.
 template <typename Model, typename Config>
 void TrainingSweep(const Config& config, const Dataset& train,
                    const Dataset& valid) {
@@ -223,6 +237,10 @@ void TrainingSweep(const Config& config, const Dataset& train,
       Model model(config);
       Rng rng(7);
       model.Fit(train, valid, &rng);
+      if constexpr (HasInt8Tier<Model>) {
+        ASSERT_TRUE(model.Quantize(Calibration(train, valid)).ok());
+        ASSERT_TRUE(model.quantized());
+      }
       std::ostringstream out;
       ASSERT_TRUE(model.SaveTo(out).ok());
       const std::string bytes = out.str();

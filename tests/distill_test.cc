@@ -18,6 +18,7 @@
 #include "sqlfacil/nn/autograd.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -136,42 +137,46 @@ TEST(DistillTest, MakeSoftDatasetBlendsTeacherAndOneHot) {
   Rng rng(3);
   teacher.Fit(train, valid, &rng);
 
-  DistillConfig config;
-  config.alpha = 0.5f;
-  config.temperature = 2.0f;
-  const Dataset soft = models::MakeSoftDataset(teacher, train, config);
-  ASSERT_EQ(soft.soft_labels.size(), train.size());
-  EXPECT_EQ(soft.labels, train.labels);  // hard labels preserved
-  const auto teacher_probs = teacher.PredictBatch(train.statements);
-  for (size_t i = 0; i < soft.size(); ++i) {
-    const auto& row = soft.soft_labels[i];
-    ASSERT_EQ(static_cast<int>(row.size()), train.num_classes);
-    float sum = 0.0f;
-    for (float t : row) {
-      EXPECT_GE(t, 0.0f);
-      sum += t;
+  OnBothTiers(teacher, Calibration(train, valid), [&] {
+    DistillConfig config;
+    config.alpha = 0.5f;
+    config.temperature = 2.0f;
+    const Dataset soft = models::MakeSoftDataset(teacher, train, config);
+    ASSERT_EQ(soft.soft_labels.size(), train.size());
+    EXPECT_EQ(soft.labels, train.labels);  // hard labels preserved
+    const auto teacher_probs = teacher.PredictBatch(train.statements);
+    for (size_t i = 0; i < soft.size(); ++i) {
+      const auto& row = soft.soft_labels[i];
+      ASSERT_EQ(static_cast<int>(row.size()), train.num_classes);
+      float sum = 0.0f;
+      for (float t : row) {
+        EXPECT_GE(t, 0.0f);
+        sum += t;
+      }
+      EXPECT_NEAR(sum, 1.0f, 1e-4f) << "row " << i;
+      // Softening with T=2 takes sqrt of probs before renormalizing; check
+      // the blend explicitly for class 0.
+      const double p0 =
+          std::sqrt(std::max(1e-12, double{teacher_probs[i][0]}));
+      const double p1 =
+          std::sqrt(std::max(1e-12, double{teacher_probs[i][1]}));
+      const double softened0 = p0 / (p0 + p1);
+      const double expect0 =
+          0.5 * softened0 + 0.5 * (train.labels[i] == 0 ? 1.0 : 0.0);
+      EXPECT_NEAR(row[0], expect0, 1e-4) << "row " << i;
     }
-    EXPECT_NEAR(sum, 1.0f, 1e-4f) << "row " << i;
-    // Softening with T=2 takes sqrt of probs before renormalizing; check
-    // the blend explicitly for class 0.
-    const double p0 = std::sqrt(std::max(1e-12, double{teacher_probs[i][0]}));
-    const double p1 = std::sqrt(std::max(1e-12, double{teacher_probs[i][1]}));
-    const double softened0 = p0 / (p0 + p1);
-    const double expect0 =
-        0.5 * softened0 + 0.5 * (train.labels[i] == 0 ? 1.0 : 0.0);
-    EXPECT_NEAR(row[0], expect0, 1e-4) << "row " << i;
-  }
 
-  // alpha = 0 recovers pure one-hot rows (from-scratch training).
-  DistillConfig hard_cfg;
-  hard_cfg.alpha = 0.0f;
-  const Dataset hard = models::MakeSoftDataset(teacher, train, hard_cfg);
-  for (size_t i = 0; i < hard.size(); ++i) {
-    for (int j = 0; j < train.num_classes; ++j) {
-      EXPECT_FLOAT_EQ(hard.soft_labels[i][j],
-                      j == train.labels[i] ? 1.0f : 0.0f);
+    // alpha = 0 recovers pure one-hot rows (from-scratch training).
+    DistillConfig hard_cfg;
+    hard_cfg.alpha = 0.0f;
+    const Dataset hard = models::MakeSoftDataset(teacher, train, hard_cfg);
+    for (size_t i = 0; i < hard.size(); ++i) {
+      for (int j = 0; j < train.num_classes; ++j) {
+        EXPECT_FLOAT_EQ(hard.soft_labels[i][j],
+                        j == train.labels[i] ? 1.0f : 0.0f);
+      }
     }
-  }
+  });
 }
 
 TEST(DistillTest, DistillValidatesInputs) {
@@ -196,6 +201,10 @@ TEST(DistillTest, DistillValidatesInputs) {
 }
 
 // --- end-to-end: distilled students vs from-scratch baselines --------------
+//
+// Each comparison runs on both tiers: after the fp32 pass the teacher is
+// quantized, the students distill from its int8 answers, and the CNN
+// students are quantized before they are evaluated.
 
 struct DistillBenchSets {
   Dataset teacher_train;  // large, clean
@@ -228,59 +237,68 @@ models::LstmModel TrainTeacher(const DistillBenchSets& s) {
 TEST(DistillTest, DistilledCnnBeatsFromScratchOnNoisyLabels) {
   ThreadPool::SetGlobalThreads(4);
   const DistillBenchSets s = MakeBenchSets();
-  const models::LstmModel teacher = TrainTeacher(s);
-  const double teacher_acc = Accuracy(teacher, s.test);
+  models::LstmModel teacher = TrainTeacher(s);
+  OnBothTiers(teacher, Calibration(s.teacher_train, s.valid), [&] {
+    const double teacher_acc = Accuracy(teacher, s.test);
 
-  models::CnnModel::Config sconfig;
-  sconfig.embed_dim = 8;
-  sconfig.kernels_per_width = 8;
-  sconfig.epochs = 3;
+    models::CnnModel::Config sconfig;
+    sconfig.embed_dim = 8;
+    sconfig.kernels_per_width = 8;
+    sconfig.epochs = 3;
 
-  models::CnnModel scratch(sconfig);
-  Rng scratch_rng(19);
-  scratch.Fit(s.student_train, s.valid, &scratch_rng);
-  const double scratch_acc = Accuracy(scratch, s.test);
+    models::CnnModel scratch(sconfig);
+    Rng scratch_rng(19);
+    scratch.Fit(s.student_train, s.valid, &scratch_rng);
+    if (teacher.quantized()) {
+      ASSERT_TRUE(scratch.Quantize({}).ok());
+    }
+    const double scratch_acc = Accuracy(scratch, s.test);
 
-  models::CnnModel distilled(sconfig);
-  Rng distill_rng(19);
-  ASSERT_TRUE(models::Distill(teacher, &distilled, s.student_train, s.valid,
-                              &distill_rng)
-                  .ok());
-  const double distilled_acc = Accuracy(distilled, s.test);
+    models::CnnModel distilled(sconfig);
+    Rng distill_rng(19);
+    ASSERT_TRUE(models::Distill(teacher, &distilled, s.student_train, s.valid,
+                                &distill_rng)
+                    .ok());
+    if (teacher.quantized()) {
+      ASSERT_TRUE(distilled.Quantize({}).ok());
+    }
+    const double distilled_acc = Accuracy(distilled, s.test);
 
-  // The teacher must actually have learned the task for the comparison to
-  // mean anything, and the distilled student should not lose to training on
-  // the noisy hard labels alone.
-  EXPECT_GT(teacher_acc, 0.9);
-  EXPECT_GE(distilled_acc, scratch_acc)
-      << "scratch=" << scratch_acc << " distilled=" << distilled_acc;
+    // The teacher must actually have learned the task for the comparison
+    // to mean anything, and the distilled student should not lose to
+    // training on the noisy hard labels alone.
+    EXPECT_GT(teacher_acc, 0.9);
+    EXPECT_GE(distilled_acc, scratch_acc)
+        << "scratch=" << scratch_acc << " distilled=" << distilled_acc;
+  });
 }
 
 TEST(DistillTest, DistilledTfidfBeatsFromScratchOnNoisyLabels) {
   ThreadPool::SetGlobalThreads(4);
   const DistillBenchSets s = MakeBenchSets();
-  const models::LstmModel teacher = TrainTeacher(s);
+  models::LstmModel teacher = TrainTeacher(s);
+  OnBothTiers(teacher, Calibration(s.teacher_train, s.valid), [&] {
+    // Soft targets have smaller margins than one-hot rows, so the linear
+    // student needs more epochs to cross the decision threshold; scratch
+    // and distilled get the same budget.
+    models::TfidfModel::Config sconfig;
+    sconfig.epochs = 30;
 
-  // Soft targets have smaller margins than one-hot rows, so the linear
-  // student needs more epochs to cross the decision threshold; scratch and
-  // distilled get the same budget.
-  models::TfidfModel::Config sconfig;
-  sconfig.epochs = 30;
+    models::TfidfModel scratch(sconfig);
+    Rng scratch_rng(29);
+    scratch.Fit(s.student_train, s.valid, &scratch_rng);
+    const double scratch_acc = Accuracy(scratch, s.test);
 
-  models::TfidfModel scratch(sconfig);
-  Rng scratch_rng(29);
-  scratch.Fit(s.student_train, s.valid, &scratch_rng);
-  const double scratch_acc = Accuracy(scratch, s.test);
+    models::TfidfModel distilled(sconfig);
+    Rng distill_rng(29);
+    ASSERT_TRUE(models::Distill(teacher, &distilled, s.student_train, s.valid,
+                                &distill_rng)
+                    .ok());
+    const double distilled_acc = Accuracy(distilled, s.test);
 
-  models::TfidfModel distilled(sconfig);
-  Rng distill_rng(29);
-  ASSERT_TRUE(models::Distill(teacher, &distilled, s.student_train, s.valid,
-                              &distill_rng)
-                  .ok());
-  const double distilled_acc = Accuracy(distilled, s.test);
-
-  EXPECT_GE(distilled_acc, scratch_acc)
-      << "scratch=" << scratch_acc << " distilled=" << distilled_acc;
+    EXPECT_GE(distilled_acc, scratch_acc)
+        << "scratch=" << scratch_acc << " distilled=" << distilled_acc;
+  });
 }
 
 }  // namespace

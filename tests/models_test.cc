@@ -7,6 +7,7 @@
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/tfidf_model.h"
 #include "sqlfacil/models/vocab.h"
+#include "tiers.h"
 
 namespace sqlfacil::models {
 namespace {
@@ -206,8 +207,21 @@ TEST(BaselinesTest, OptWithConstantCostFallsBackToMean) {
 }
 
 // ---------------------------------------------------------------------------
-// Learned models: each must beat chance on the synthetic tasks
+// Learned models: each must beat chance on the synthetic tasks (the neural
+// families on both precision tiers)
 // ---------------------------------------------------------------------------
+
+// Runs `check` on the fitted `model`, and again on its int8 tier when the
+// family has one.
+template <typename M, typename Check>
+void OnEveryTier(M& model, const Dataset& train, const Dataset& valid,
+                 const Check& check) {
+  if constexpr (HasInt8Tier<M>) {
+    OnBothTiers(model, Calibration(train, valid), check);
+  } else {
+    check();
+  }
+}
 
 template <typename M>
 void ExpectLearnsClassification(M&& model, double min_accuracy) {
@@ -215,10 +229,12 @@ void ExpectLearnsClassification(M&& model, double min_accuracy) {
   Dataset train, valid;
   MakeTextTask(&train, &valid, TaskKind::kClassification, &rng);
   model.Fit(train, valid, &rng);
-  EXPECT_GE(ClassificationAccuracy(model, valid), min_accuracy)
-      << model.name();
-  EXPECT_GT(model.num_parameters(), 0u);
-  EXPECT_GT(model.vocab_size(), 0u);
+  OnEveryTier(model, train, valid, [&] {
+    EXPECT_GE(ClassificationAccuracy(model, valid), min_accuracy)
+        << model.name();
+    EXPECT_GT(model.num_parameters(), 0u);
+    EXPECT_GT(model.vocab_size(), 0u);
+  });
 }
 
 template <typename M>
@@ -227,7 +243,9 @@ void ExpectLearnsRegression(M&& model, double max_mae) {
   Dataset train, valid;
   MakeTextTask(&train, &valid, TaskKind::kRegression, &rng);
   model.Fit(train, valid, &rng);
-  EXPECT_LE(RegressionMae(model, valid), max_mae) << model.name();
+  OnEveryTier(model, train, valid, [&] {
+    EXPECT_LE(RegressionMae(model, valid), max_mae) << model.name();
+  });
 }
 
 TEST(TfidfModelTest, LearnsClassification) {
@@ -280,10 +298,12 @@ TEST(CnnModelTest, HandlesShortStatements) {
   MakeTextTask(&train, &valid, TaskKind::kClassification, &rng);
   CnnModel model(config);
   model.Fit(train, valid, &rng);
-  // Shorter than the largest kernel width: must not crash.
-  auto probs = model.Predict("x", 0);
-  EXPECT_EQ(probs.size(), 2u);
-  EXPECT_NEAR(probs[0] + probs[1], 1.0, 1e-4);
+  OnBothTiers(model, {}, [&] {
+    // Shorter than the largest kernel width: must not crash.
+    auto probs = model.Predict("x", 0);
+    EXPECT_EQ(probs.size(), 2u);
+    EXPECT_NEAR(probs[0] + probs[1], 1.0, 1e-4);
+  });
 }
 
 TEST(LstmModelTest, LearnsClassificationWordLevel) {
@@ -332,8 +352,10 @@ TEST(LstmModelTest, EmptyStatementPredicts) {
   MakeTextTask(&train, &valid, TaskKind::kClassification, &rng);
   LstmModel model(config);
   model.Fit(train, valid, &rng);
-  auto probs = model.Predict("", 0);
-  EXPECT_EQ(probs.size(), 2u);
+  OnBothTiers(model, Calibration(train, valid), [&] {
+    auto probs = model.Predict("", 0);
+    EXPECT_EQ(probs.size(), 2u);
+  });
 }
 
 }  // namespace

@@ -104,49 +104,61 @@ TEST(MultiTaskTest, SharedEncoderSmallerThanThreeSingles) {
 // CnnModel::FineTune (transfer learning support)
 // ---------------------------------------------------------------------------
 
+// Runs once per precision tier: the int8 pass quantizes after Fit, and again
+// after FineTune, which drops the tier built from the source weights.
 TEST(FineTuneTest, ImprovesOnShiftedTask) {
-  Rng rng(4);
-  // Source: targets {1, 3}. Target domain: same text signal, shifted
-  // targets {2, 6}.
-  Dataset source, target_train, target_valid;
-  for (Dataset* d : {&source, &target_train, &target_valid}) {
-    d->kind = TaskKind::kRegression;
+  for (bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8 tier" : "fp32 tier");
+    Rng rng(4);
+    // Source: targets {1, 3}. Target domain: same text signal, shifted
+    // targets {2, 6}.
+    Dataset source, target_train, target_valid;
+    for (Dataset* d : {&source, &target_train, &target_valid}) {
+      d->kind = TaskKind::kRegression;
+    }
+    auto fill = [&](Dataset* d, int n, float lo, float hi) {
+      for (int i = 0; i < n; ++i) {
+        const bool big = rng.Bernoulli(0.5);
+        d->statements.push_back(
+            big ? "SELECT * FROM Galaxy WHERE r < " + std::to_string(i % 20)
+                : "SELECT objid FROM Star WHERE objid = " +
+                      std::to_string(i));
+        d->targets.push_back(big ? hi : lo);
+        d->opt_costs.push_back(0);
+      }
+    };
+    fill(&source, 200, 1.0f, 3.0f);
+    fill(&target_train, 40, 2.0f, 6.0f);
+    fill(&target_valid, 40, 2.0f, 6.0f);
+
+    CnnModel::Config config;
+    config.epochs = 6;
+    config.lr = 0.02f;
+    config.kernels_per_width = 12;
+    config.embed_dim = 8;
+    CnnModel model(config);
+    model.Fit(source, source, &rng);
+    if (int8) {
+      ASSERT_TRUE(model.Quantize({}).ok());
+    }
+
+    auto mae = [&](const CnnModel& m) {
+      double total = 0;
+      for (size_t i = 0; i < target_valid.size(); ++i) {
+        total += std::fabs(m.Predict(target_valid.statements[i], 0)[0] -
+                           target_valid.targets[i]);
+      }
+      return total / target_valid.size();
+    };
+    const double before = mae(model);
+    model.FineTune(target_train, target_valid, 6, &rng);
+    if (int8) {
+      ASSERT_TRUE(model.Quantize({}).ok());
+    }
+    const double after = mae(model);
+    EXPECT_LT(after, before);
+    EXPECT_LT(after, 1.0);
   }
-  auto fill = [&](Dataset* d, int n, float lo, float hi) {
-    for (int i = 0; i < n; ++i) {
-      const bool big = rng.Bernoulli(0.5);
-      d->statements.push_back(
-          big ? "SELECT * FROM Galaxy WHERE r < " + std::to_string(i % 20)
-              : "SELECT objid FROM Star WHERE objid = " + std::to_string(i));
-      d->targets.push_back(big ? hi : lo);
-      d->opt_costs.push_back(0);
-    }
-  };
-  fill(&source, 200, 1.0f, 3.0f);
-  fill(&target_train, 40, 2.0f, 6.0f);
-  fill(&target_valid, 40, 2.0f, 6.0f);
-
-  CnnModel::Config config;
-  config.epochs = 6;
-  config.lr = 0.02f;
-  config.kernels_per_width = 12;
-  config.embed_dim = 8;
-  CnnModel model(config);
-  model.Fit(source, source, &rng);
-
-  auto mae = [&](const CnnModel& m) {
-    double total = 0;
-    for (size_t i = 0; i < target_valid.size(); ++i) {
-      total += std::fabs(m.Predict(target_valid.statements[i], 0)[0] -
-                         target_valid.targets[i]);
-    }
-    return total / target_valid.size();
-  };
-  const double before = mae(model);
-  model.FineTune(target_train, target_valid, 6, &rng);
-  const double after = mae(model);
-  EXPECT_LT(after, before);
-  EXPECT_LT(after, 1.0);
 }
 
 }  // namespace

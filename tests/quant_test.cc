@@ -1,6 +1,7 @@
 // Int8 precision tier: quantization round-trip bounds, scalar-vs-AVX2
 // bit-identity of the quantized kernels, tier determinism across
-// SQLFACIL_THREADS x SQLFACIL_SIMD, int8-vs-fp32 closeness, and quantized
+// SQLFACIL_THREADS x SQLFACIL_SIMD, int8-vs-fp32 closeness, the tier's
+// lifetime (built by Quantize, dropped by training), and quantized
 // checkpoint round-trips including corrupt / truncated frames.
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -20,8 +23,10 @@
 #include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/nn/simd_int8.h"
+#include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -37,15 +42,6 @@ class SimdGuard {
 
  private:
   bool saved_;
-};
-
-class PrecisionGuard {
- public:
-  PrecisionGuard() : saved_(nn::quant::ActivePrecision()) {}
-  ~PrecisionGuard() { nn::quant::SetActivePrecision(saved_); }
-
- private:
-  nn::quant::Precision saved_;
 };
 
 Dataset SyntheticClassification(size_t n, uint64_t seed) {
@@ -245,7 +241,6 @@ void ExpectAllBitIdentical(const std::vector<std::vector<float>>& a,
 
 TEST(QuantTest, LstmInt8BitIdenticalAcrossThreadsAndSimd) {
   SimdGuard simd_guard;
-  PrecisionGuard prec_guard;
   const Dataset train = SyntheticClassification(60, 33);
   const Dataset valid = SyntheticClassification(24, 44);
   models::LstmModel::Config config;
@@ -257,10 +252,10 @@ TEST(QuantTest, LstmInt8BitIdenticalAcrossThreadsAndSimd) {
   models::LstmModel model(config);
   Rng rng(7);
   model.Fit(train, valid, &rng);
+  ASSERT_TRUE(model.Quantize(Calibration(train, valid)).ok());
   ASSERT_TRUE(model.quantized());
   EXPECT_GT(model.hidden_scale(), 0.0f);
 
-  nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
   ThreadPool::SetGlobalThreads(1);
   nn::simd::SetEnabled(false);
   const auto ref = PredictAll(model, valid);
@@ -283,7 +278,6 @@ TEST(QuantTest, LstmInt8BitIdenticalAcrossThreadsAndSimd) {
 }
 
 TEST(QuantTest, LstmInt8CloseToFp32) {
-  PrecisionGuard prec_guard;
   const Dataset train = SyntheticClassification(60, 3);
   const Dataset valid = SyntheticClassification(30, 4);
   models::LstmModel::Config config;
@@ -295,11 +289,10 @@ TEST(QuantTest, LstmInt8CloseToFp32) {
   models::LstmModel model(config);
   Rng rng(7);
   model.Fit(train, valid, &rng);
-  ASSERT_TRUE(model.quantized());
+  ASSERT_FALSE(model.quantized());
 
-  nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
   const auto fp32 = PredictAll(model, valid);
-  nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
+  ASSERT_TRUE(model.Quantize(Calibration(train, valid)).ok());
   const auto int8 = PredictAll(model, valid);
   double sum_abs = 0.0, max_abs = 0.0;
   size_t count = 0;
@@ -318,7 +311,6 @@ TEST(QuantTest, LstmInt8CloseToFp32) {
 
 TEST(QuantTest, CnnInt8BitIdenticalAcrossThreadsAndSimdAndCloseToFp32) {
   SimdGuard simd_guard;
-  PrecisionGuard prec_guard;
   const Dataset train = SyntheticClassification(60, 13);
   const Dataset valid = SyntheticClassification(24, 14);
   models::CnnModel::Config config;
@@ -329,11 +321,11 @@ TEST(QuantTest, CnnInt8BitIdenticalAcrossThreadsAndSimdAndCloseToFp32) {
   models::CnnModel model(config);
   Rng rng(7);
   model.Fit(train, valid, &rng);
-  ASSERT_TRUE(model.quantized());
+  ASSERT_FALSE(model.quantized());
 
-  nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
   const auto fp32 = PredictAll(model, valid);
-  nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
+  ASSERT_TRUE(model.Quantize({}).ok());
+  ASSERT_TRUE(model.quantized());
   ThreadPool::SetGlobalThreads(1);
   nn::simd::SetEnabled(false);
   const auto ref = PredictAll(model, valid);
@@ -367,20 +359,18 @@ TEST(QuantTest, CnnInt8BitIdenticalAcrossThreadsAndSimdAndCloseToFp32) {
   EXPECT_LT(max_abs, 0.25) << "max |dp| too large";
 }
 
-// Validation scores the fp32 weights being trained whatever tier serves:
-// after the first fit a model already holds an int8 tier, and a re-fit or
-// fine-tune scored through it would pick best epochs from stale weights.
-// The per-epoch ValidLoss trajectory must not depend on the active tier.
-TEST(QuantTest, ValidHistoryIndependentOfActivePrecision) {
-  PrecisionGuard prec_guard;
+// Validation scores the fp32 weights being trained: a re-fit or fine-tune
+// of a quantized model first drops the int8 tier built from the old
+// weights, so the per-epoch ValidLoss trajectory must not depend on whether
+// the model was quantized before.
+TEST(QuantTest, ValidHistoryIndependentOfPriorQuantization) {
   ThreadPool::SetGlobalThreads(2);
   const Dataset train = SyntheticClassification(48, 61);
   const Dataset valid = SyntheticClassification(20, 62);
   const Dataset train2 = SyntheticClassification(32, 63);
   const Dataset valid2 = SyntheticClassification(16, 64);
   using History = std::vector<double>;
-  auto cnn_histories = [&](nn::quant::Precision p) {
-    nn::quant::SetActivePrecision(p);
+  auto cnn_histories = [&](bool quantize) {
     models::CnnModel::Config config;
     config.embed_dim = 8;
     config.kernels_per_width = 8;
@@ -388,13 +378,16 @@ TEST(QuantTest, ValidHistoryIndependentOfActivePrecision) {
     models::CnnModel model(config);
     Rng rng(7);
     model.Fit(train, valid, &rng);
-    EXPECT_TRUE(model.quantized());
+    if (quantize) {
+      EXPECT_TRUE(model.Quantize({}).ok());
+    }
+    EXPECT_EQ(model.quantized(), quantize);
     const History fit = model.valid_history();
     model.FineTune(train2, valid2, 2, &rng);
+    EXPECT_FALSE(model.quantized());
     return std::pair<History, History>(fit, model.valid_history());
   };
-  auto lstm_histories = [&](nn::quant::Precision p) {
-    nn::quant::SetActivePrecision(p);
+  auto lstm_histories = [&](bool quantize) {
     models::LstmModel::Config config;
     config.embed_dim = 8;
     config.hidden_dim = 16;
@@ -403,26 +396,104 @@ TEST(QuantTest, ValidHistoryIndependentOfActivePrecision) {
     models::LstmModel model(config);
     Rng rng(7);
     model.Fit(train, valid, &rng);
-    EXPECT_TRUE(model.quantized());
+    if (quantize) {
+      EXPECT_TRUE(model.Quantize(Calibration(train, valid)).ok());
+    }
+    EXPECT_EQ(model.quantized(), quantize);
     const History first = model.valid_history();
     model.Fit(train2, valid2, &rng);
+    EXPECT_FALSE(model.quantized());
     return std::pair<History, History>(first, model.valid_history());
   };
-  const auto cnn_fp32 = cnn_histories(nn::quant::Precision::kFp32);
-  const auto cnn_int8 = cnn_histories(nn::quant::Precision::kInt8);
+  const auto cnn_fp32 = cnn_histories(false);
+  const auto cnn_int8 = cnn_histories(true);
   EXPECT_EQ(cnn_fp32.first, cnn_int8.first) << "ccnn Fit";
   EXPECT_EQ(cnn_fp32.second, cnn_int8.second) << "ccnn FineTune";
-  const auto lstm_fp32 = lstm_histories(nn::quant::Precision::kFp32);
-  const auto lstm_int8 = lstm_histories(nn::quant::Precision::kInt8);
+  const auto lstm_fp32 = lstm_histories(false);
+  const auto lstm_int8 = lstm_histories(true);
   EXPECT_EQ(lstm_fp32.first, lstm_int8.first) << "clstm first Fit";
   EXPECT_EQ(lstm_fp32.second, lstm_int8.second) << "clstm second Fit";
+  ThreadPool::SetGlobalThreads(1);
+}
+
+// A training run drained mid-epoch returns early with the best fp32 weights
+// restored; the int8 tier of the previous fit must not survive it.
+// `retrain` runs Fit or FineTune on the quantized model with a drain
+// pending.
+template <typename Model>
+void ExpectDrainedTrainingDropsTier(
+    const typename Model::Config& config,
+    std::span<const std::string> calibration, const Dataset& valid,
+    const std::function<void(Model*)>& retrain) {
+  struct DrainGuard {
+    ~DrainGuard() { train::ClearDrain(); }
+  } drain_guard;
+  Model model(config);
+  Rng rng(7);
+  model.Fit(SyntheticClassification(48, 71), valid, &rng);
+  ASSERT_TRUE(model.Quantize(calibration).ok());
+  ASSERT_TRUE(model.quantized());
+
+  train::RequestDrain();
+  retrain(&model);
+  train::ClearDrain();
+  EXPECT_FALSE(model.quantized()) << model.name();
+
+  // The model serves fp32 from the weights it restored: the same bits as a
+  // fresh model loaded from its checkpoint.
+  std::stringstream checkpoint;
+  ASSERT_TRUE(model.SaveTo(checkpoint).ok());
+  Model copy(config);
+  ASSERT_TRUE(copy.LoadFrom(checkpoint).ok());
+  ASSERT_FALSE(copy.quantized());
+  const auto fp32 = PredictAll(copy, valid);
+  ExpectAllBitIdentical(fp32, PredictAll(model, valid),
+                        model.name() + " fp32 after drain");
+
+  // A new Quantize serves int8 again, built from the restored weights.
+  ASSERT_TRUE(model.Quantize(calibration).ok());
+  ASSERT_TRUE(copy.Quantize(calibration).ok());
+  EXPECT_TRUE(model.quantized());
+  const auto int8 = PredictAll(model, valid);
+  ExpectAllBitIdentical(PredictAll(copy, valid), int8,
+                        model.name() + " int8 after drain");
+  EXPECT_NE(fp32, int8) << model.name() << " still serves fp32";
+}
+
+TEST(QuantTest, DrainedRefitDropsInt8Tier) {
+  ThreadPool::SetGlobalThreads(2);
+  const Dataset train2 = SyntheticClassification(40, 72);
+  const Dataset valid = SyntheticClassification(20, 73);
+  models::CnnModel::Config cnn;
+  cnn.embed_dim = 8;
+  cnn.kernels_per_width = 8;
+  cnn.epochs = 2;
+  ExpectDrainedTrainingDropsTier<models::CnnModel>(
+      cnn, {}, valid, [&](models::CnnModel* model) {
+        Rng rng(8);
+        model->Fit(train2, valid, &rng);
+      });
+  ExpectDrainedTrainingDropsTier<models::CnnModel>(
+      cnn, {}, valid, [&](models::CnnModel* model) {
+        Rng rng(8);
+        model->FineTune(train2, valid, 2, &rng);
+      });
+  models::LstmModel::Config lstm;
+  lstm.embed_dim = 8;
+  lstm.hidden_dim = 16;
+  lstm.num_layers = 2;
+  lstm.epochs = 2;
+  ExpectDrainedTrainingDropsTier<models::LstmModel>(
+      lstm, valid.statements, valid, [&](models::LstmModel* model) {
+        Rng rng(8);
+        model->Fit(train2, valid, &rng);
+      });
   ThreadPool::SetGlobalThreads(1);
 }
 
 // --- checkpoint tests ------------------------------------------------------
 
 TEST(QuantTest, LstmQuantizedCheckpointRoundTrip) {
-  PrecisionGuard prec_guard;
   const Dataset train = SyntheticClassification(50, 23);
   const Dataset valid = SyntheticClassification(16, 24);
   models::LstmModel::Config config;
@@ -434,8 +505,19 @@ TEST(QuantTest, LstmQuantizedCheckpointRoundTrip) {
   models::LstmModel model(config);
   Rng rng(7);
   model.Fit(train, valid, &rng);
-  ASSERT_TRUE(model.quantized());
 
+  // Both tiers survive the round trip bit-for-bit: the fp32 checkpoint
+  // first, then the quantized one, which loads quantized.
+  std::ostringstream fp32_out;
+  ASSERT_TRUE(model.SaveTo(fp32_out).ok());
+  models::LstmModel fp32_loaded(config);
+  std::istringstream fp32_in(fp32_out.str());
+  ASSERT_TRUE(fp32_loaded.LoadFrom(fp32_in).ok());
+  ASSERT_FALSE(fp32_loaded.quantized());
+  ExpectAllBitIdentical(PredictAll(model, valid),
+                        PredictAll(fp32_loaded, valid), "fp32 round trip");
+
+  ASSERT_TRUE(model.Quantize(Calibration(train, valid)).ok());
   std::ostringstream out;
   ASSERT_TRUE(model.SaveTo(out).ok());
   models::LstmModel loaded(config);
@@ -443,12 +525,6 @@ TEST(QuantTest, LstmQuantizedCheckpointRoundTrip) {
   ASSERT_TRUE(loaded.LoadFrom(in).ok());
   ASSERT_TRUE(loaded.quantized());
   EXPECT_EQ(loaded.hidden_scale(), model.hidden_scale());
-
-  // Both tiers survive the round trip bit-for-bit.
-  nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
-  ExpectAllBitIdentical(PredictAll(model, valid), PredictAll(loaded, valid),
-                        "fp32 round trip");
-  nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
   ExpectAllBitIdentical(PredictAll(model, valid), PredictAll(loaded, valid),
                         "int8 round trip");
 
@@ -462,7 +538,6 @@ TEST(QuantTest, LstmQuantizedCheckpointRoundTrip) {
 }
 
 TEST(QuantTest, CnnQuantizedCheckpointRoundTrip) {
-  PrecisionGuard prec_guard;
   const Dataset train = SyntheticClassification(50, 25);
   const Dataset valid = SyntheticClassification(16, 26);
   models::CnnModel::Config config;
@@ -473,6 +548,7 @@ TEST(QuantTest, CnnQuantizedCheckpointRoundTrip) {
   models::CnnModel model(config);
   Rng rng(7);
   model.Fit(train, valid, &rng);
+  ASSERT_TRUE(model.Quantize({}).ok());
   ASSERT_TRUE(model.quantized());
 
   std::ostringstream out;
@@ -482,7 +558,6 @@ TEST(QuantTest, CnnQuantizedCheckpointRoundTrip) {
   ASSERT_TRUE(loaded.LoadFrom(in).ok());
   ASSERT_TRUE(loaded.quantized());
 
-  nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
   ExpectAllBitIdentical(PredictAll(model, valid), PredictAll(loaded, valid),
                         "int8 round trip");
 }
@@ -533,6 +608,7 @@ TEST(QuantTest, FramedQuantizedCheckpointDetectsBitFlips) {
   models::CnnModel model(config);
   Rng rng(7);
   model.Fit(train, valid, &rng);
+  ASSERT_TRUE(model.Quantize({}).ok());
   ASSERT_TRUE(model.quantized());
 
   std::ostringstream out;

@@ -22,7 +22,6 @@
 #include "sqlfacil/models/multitask_model.h"
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/tfidf_model.h"
-#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/serving/resilient_model.h"
 #include "sqlfacil/engine/catalog.h"
@@ -34,6 +33,7 @@
 #include "sqlfacil/workload/labeler.h"
 #include "sqlfacil/workload/querygen.h"
 #include "sqlfacil/workload/sdss_catalog.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -147,7 +147,6 @@ TEST(FailpointTest, MalformedEntriesAreSkippedNotFatal) {
 // Predict is a batch of one on every tier, so a model.predict fault reaches
 // single-query callers exactly as it reaches batched ones.
 TEST(FailpointTest, PredictFailsLikePredictBatchOnEveryTier) {
-  const nn::quant::Precision saved = nn::quant::ActivePrecision();
   const Dataset train = SyntheticClassification(24, 71);
   models::CnnModel::Config cnn_config;
   cnn_config.embed_dim = 4;
@@ -163,16 +162,17 @@ TEST(FailpointTest, PredictFailsLikePredictBatchOnEveryTier) {
   Rng rng(7);
   cnn.Fit(train, train, &rng);
   lstm.Fit(train, train, &rng);
-  ASSERT_TRUE(cnn.quantized());
-  ASSERT_TRUE(lstm.quantized());
   const std::vector<std::string> one = {train.statements[0]};
-  for (auto precision :
-       {nn::quant::Precision::kFp32, nn::quant::Precision::kInt8}) {
-    nn::quant::SetActivePrecision(precision);
+  for (bool int8 : {false, true}) {
+    if (int8) {
+      ASSERT_TRUE(cnn.Quantize({}).ok());
+      ASSERT_TRUE(lstm.Quantize(Calibration(train, train)).ok());
+    }
+    ASSERT_EQ(cnn.quantized(), int8);
+    ASSERT_EQ(lstm.quantized(), int8);
     for (const models::Model* model :
          std::initializer_list<const models::Model*>{&cnn, &lstm}) {
-      const std::string where = model->name() + " " +
-                                nn::quant::PrecisionName(precision);
+      const std::string where = model->name() + (int8 ? " int8" : " fp32");
       failpoint::ScopedFailpoints fp("model.predict:throw");
       EXPECT_THROW(model->PredictBatch(one), failpoint::FailpointError)
           << where;
@@ -180,7 +180,6 @@ TEST(FailpointTest, PredictFailsLikePredictBatchOnEveryTier) {
           << where;
     }
   }
-  nn::quant::SetActivePrecision(saved);
 }
 
 // --- Checkpoint framing ----------------------------------------------------

@@ -26,6 +26,7 @@
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -637,11 +638,13 @@ TEST(ResumeEndToEndTest, TrainsToCompletionUnderEnvFailpoints) {
     Rng rng(7);
     model.Fit(train_set, valid_set, &rng);
     ASSERT_EQ(model.valid_history().size(), 2u) << "round " << round;
-    const auto probs = model.Predict(train_set.statements[0], 0.0);
-    ASSERT_EQ(probs.size(), 2u);
-    float sum = 0.0f;
-    for (float p : probs) sum += p;
-    EXPECT_NEAR(sum, 1.0f, 1e-4f) << "round " << round;
+    OnBothTiers(model, {}, [&] {
+      const auto probs = model.Predict(train_set.statements[0], 0.0);
+      ASSERT_EQ(probs.size(), 2u);
+      float sum = 0.0f;
+      for (float p : probs) sum += p;
+      EXPECT_NEAR(sum, 1.0f, 1e-4f) << "round " << round;
+    });
   }
   failpoint::Clear();
 }

@@ -10,6 +10,7 @@
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/tfidf_model.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -113,10 +114,13 @@ void ExpectSamePredictions(const models::Model& a, const models::Model& b) {
 }
 
 template <typename M>
-void RoundTrip(M trained, M* empty) {
+void RoundTrip(const M& trained, M* empty) {
   std::stringstream ss;
   ASSERT_TRUE(trained.SaveTo(ss).ok());
   ASSERT_TRUE(empty->LoadFrom(ss).ok());
+  if constexpr (HasInt8Tier<M>) {
+    EXPECT_EQ(empty->quantized(), trained.quantized());
+  }
   ExpectSamePredictions(trained, *empty);
 }
 
@@ -126,7 +130,7 @@ TEST(ModelSerializeTest, Mfreq) {
   models::MfreqModel trained;
   trained.Fit(train, train, &rng);
   models::MfreqModel empty;
-  RoundTrip(std::move(trained), &empty);
+  RoundTrip(trained, &empty);
 }
 
 TEST(ModelSerializeTest, MedianAndOpt) {
@@ -135,12 +139,12 @@ TEST(ModelSerializeTest, MedianAndOpt) {
   models::MedianModel median;
   median.Fit(train, train, &rng);
   models::MedianModel median_empty;
-  RoundTrip(std::move(median), &median_empty);
+  RoundTrip(median, &median_empty);
 
   models::OptModel opt;
   opt.Fit(train, train, &rng);
   models::OptModel opt_empty;
-  RoundTrip(std::move(opt), &opt_empty);
+  RoundTrip(opt, &opt_empty);
 }
 
 TEST(ModelSerializeTest, Tfidf) {
@@ -151,7 +155,7 @@ TEST(ModelSerializeTest, Tfidf) {
   models::TfidfModel trained(config);
   trained.Fit(train, train, &rng);
   models::TfidfModel empty(config);
-  RoundTrip(std::move(trained), &empty);
+  RoundTrip(trained, &empty);
 }
 
 TEST(ModelSerializeTest, Cnn) {
@@ -164,12 +168,15 @@ TEST(ModelSerializeTest, Cnn) {
   models::CnnModel trained(config);
   trained.Fit(train, train, &rng);
   // The empty model is built with a *different* architecture config; the
-  // checkpoint must fully restore the stored architecture.
+  // checkpoint must fully restore the stored architecture, and the int8
+  // tier when the trained model has one.
   models::CnnModel::Config other;
   other.kernels_per_width = 4;
   other.embed_dim = 4;
-  models::CnnModel empty(other);
-  RoundTrip(std::move(trained), &empty);
+  OnBothTiers(trained, {}, [&] {
+    models::CnnModel empty(other);
+    RoundTrip(trained, &empty);
+  });
 }
 
 TEST(ModelSerializeTest, Lstm) {
@@ -185,8 +192,10 @@ TEST(ModelSerializeTest, Lstm) {
   models::LstmModel::Config other;
   other.hidden_dim = 4;
   other.num_layers = 1;
-  models::LstmModel empty(other);
-  RoundTrip(std::move(trained), &empty);
+  OnBothTiers(trained, Calibration(train, train), [&] {
+    models::LstmModel empty(other);
+    RoundTrip(trained, &empty);
+  });
 }
 
 TEST(ModelSerializeTest, LoadRejectsWrongModelKind) {

@@ -1,14 +1,15 @@
 // Tests for the batched inference fast path: arena lifetime, SIMD kernel
 // bit-identity across dispatch, PredictBatch == per-query Predict for every
-// model family, the serving chain's prediction cache (hits bit-identical to
-// misses, normalization, LRU eviction, batch dedup, precision tier and
-// opt-cost in the key), and the serving front end.
+// model family and precision tier, the serving chain's prediction cache
+// (hits bit-identical to misses, normalization, LRU eviction, batch dedup,
+// generation and opt-cost in the key), and the serving front end.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,8 +27,8 @@
 #include "sqlfacil/models/cnn_model.h"
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/tfidf_model.h"
+#include "sqlfacil/lifecycle/model_registry.h"
 #include "sqlfacil/nn/arena.h"
-#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/serving/admission_queue.h"
 #include "sqlfacil/serving/loadgen.h"
@@ -38,6 +39,7 @@
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "tiers.h"
 
 namespace sqlfacil {
 namespace {
@@ -353,8 +355,10 @@ TEST(PredictBatchTest, CnnMatchesPredict) {
   Rng rng(7);
   model.Fit(train, train, &rng);
   // 40 queries > the 32-query slice, so slicing boundaries are exercised.
-  ExpectBitIdentical(model.PredictBatch(test.statements),
-                     PredictLoop(model, test.statements));
+  OnBothTiers(model, {}, [&] {
+    ExpectBitIdentical(model.PredictBatch(test.statements),
+                       PredictLoop(model, test.statements));
+  });
 }
 
 TEST(PredictBatchTest, LstmMatchesPredict) {
@@ -370,12 +374,13 @@ TEST(PredictBatchTest, LstmMatchesPredict) {
   models::LstmModel model(config);
   Rng rng(7);
   model.Fit(train, train, &rng);
-  ExpectBitIdentical(model.PredictBatch(test.statements),
-                     PredictLoop(model, test.statements));
+  OnBothTiers(model, Calibration(train, train), [&] {
+    ExpectBitIdentical(model.PredictBatch(test.statements),
+                       PredictLoop(model, test.statements));
+  });
 }
 
 TEST(PredictBatchTest, LstmEdgeCases) {
-  const auto saved = nn::quant::ActivePrecision();
   const Dataset train = SyntheticClassification(30, 8);
   // One word-level layer, and the shipped clstm depth: three char-level
   // layers, each updating its state in place.
@@ -417,19 +422,16 @@ TEST(PredictBatchTest, LstmEdgeCases) {
     models::LstmModel model(config);
     Rng rng(7);
     model.Fit(train, train, &rng);
-    EXPECT_TRUE(model.quantized());
-    for (const auto tier :
-         {nn::quant::Precision::kFp32, nn::quant::Precision::kInt8}) {
-      SCOPED_TRACE(model.name() + " " + nn::quant::PrecisionName(tier));
-      nn::quant::SetActivePrecision(tier);
+    SCOPED_TRACE(model.name());
+    OnBothTiers(model, Calibration(train, train), [&] {
       EXPECT_TRUE(model.PredictBatch(std::vector<std::string>{}).empty());
       for (const auto* batch : {&one, &mixed, &ties, &unsorted}) {
         ExpectBitIdentical(model.PredictBatch(*batch),
                            PredictLoop(model, *batch));
       }
-    }
+    });
+    EXPECT_TRUE(model.quantized());
   }
-  nn::quant::SetActivePrecision(saved);
 }
 
 TEST(PredictBatchTest, BitIdenticalAcrossThreadCounts) {
@@ -444,12 +446,14 @@ TEST(PredictBatchTest, BitIdenticalAcrossThreadCounts) {
   models::CnnModel model(config);
   Rng rng(7);
   model.Fit(train, train, &rng);
-  ThreadPool::SetGlobalThreads(1);
-  const auto serial = model.PredictBatch(test.statements);
-  ThreadPool::SetGlobalThreads(8);
-  const auto parallel = model.PredictBatch(test.statements);
-  ThreadPool::SetGlobalThreads(1);
-  ExpectBitIdentical(serial, parallel);
+  OnBothTiers(model, {}, [&] {
+    ThreadPool::SetGlobalThreads(1);
+    const auto serial = model.PredictBatch(test.statements);
+    ThreadPool::SetGlobalThreads(8);
+    const auto parallel = model.PredictBatch(test.statements);
+    ThreadPool::SetGlobalThreads(1);
+    ExpectBitIdentical(serial, parallel);
+  });
 }
 
 // --- Prediction cache ------------------------------------------------------
@@ -547,44 +551,52 @@ TEST(CachedModelTest, BatchDedupAndCachePopulation) {
   EXPECT_EQ(model->cache_stats().hits, 4u);
 }
 
-TEST(CachedModelTest, PrecisionSwitchInvalidatesCache) {
-  const auto saved = nn::quant::ActivePrecision();
+// Precision belongs to the published version: an int8 copy of a model is a
+// generation of its own, so no fp32 entry is ever served as an int8 answer
+// (or back), and nothing is cleared on the way.
+TEST(CachedModelTest, QuantizedCopyIsItsOwnGeneration) {
   const Dataset train = SyntheticClassification(60, 21);
   models::LstmModel::Config config;
   config.embed_dim = 8;
   config.hidden_dim = 12;
   config.num_layers = 1;
   config.epochs = 1;
-  auto lstm = std::make_unique<models::LstmModel>(config);
+  auto fp32 = std::make_shared<models::LstmModel>(config);
   Rng rng(7);
-  nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
-  lstm->Fit(train, train, &rng);
-  const models::Model& inner = *lstm;
-  const auto model = WrapResilient(std::move(lstm));
+  fp32->Fit(train, train, &rng);
+  lifecycle::ModelRegistry registry;
+  ASSERT_EQ(*registry.Publish(fp32, "fp32"), 1u);
+  const serving::ResilientModel model(
+      &registry, std::make_unique<models::MfreqModel>());
 
   const std::string q = train.statements[0];
-  const auto fp32_pred = ServeOne(*model, q);
-  EXPECT_EQ(model->cache_stats().size, 1u);
+  const auto fp32_pred = ServeOne(model, q);
+  EXPECT_EQ(model.cache_stats().size, 1u);
 
-  // The tier is part of the key: no fp32 entry may be served as an int8
-  // result, so the int8 lookup misses and caches an entry of its own.
-  nn::quant::SetActivePrecision(nn::quant::Precision::kInt8);
-  const auto int8_pred = ServeOne(*model, q);
-  EXPECT_EQ(model->cache_stats().size, 2u);
-  const auto int8_direct = inner.Predict(q, 0.0);
+  // Generation 2 is a quantized copy: its lookup misses and caches the
+  // copy's own int8 answer.
+  auto int8 = std::make_shared<models::LstmModel>(config);
+  std::stringstream checkpoint;
+  ASSERT_TRUE(fp32->SaveTo(checkpoint).ok());
+  ASSERT_TRUE(int8->LoadFrom(checkpoint).ok());
+  ASSERT_TRUE(int8->Quantize(Calibration(train, train)).ok());
+  ASSERT_EQ(*registry.Publish(int8, "int8"), 2u);
+  const auto int8_pred = ServeOne(model, q);
+  EXPECT_EQ(model.cache_stats().size, 2u);
+  const auto int8_direct = int8->Predict(q, 0.0);
   ASSERT_EQ(int8_pred.size(), int8_direct.size());
   for (size_t i = 0; i < int8_pred.size(); ++i) {
     EXPECT_EQ(int8_pred[i], int8_direct[i]);
   }
 
-  // Switching back reproduces the fp32 bits.
-  nn::quant::SetActivePrecision(nn::quant::Precision::kFp32);
-  const auto back = ServeOne(*model, q);
+  // Rolling back (generation 3) reproduces the fp32 bits.
+  ASSERT_EQ(*registry.Rollback(), 3u);
+  const auto back = ServeOne(model, q);
+  EXPECT_EQ(model.cache_stats().size, 3u);
   ASSERT_EQ(back.size(), fp32_pred.size());
   for (size_t i = 0; i < back.size(); ++i) EXPECT_EQ(back[i], fp32_pred[i]);
-  const auto fp32_direct = inner.Predict(q, 0.0);
+  const auto fp32_direct = fp32->Predict(q, 0.0);
   for (size_t i = 0; i < back.size(); ++i) EXPECT_EQ(back[i], fp32_direct[i]);
-  nn::quant::SetActivePrecision(saved);
 }
 
 TEST(CachedModelTest, OptCostIsPartOfTheKey) {
@@ -923,54 +935,57 @@ TEST(ServerTest, BatchedRepliesBitIdenticalToDirectPredict) {
   models::MfreqModel baseline;
   baseline.Fit(train, train, &rng);
 
-  for (int64_t window_us : {int64_t{0}, int64_t{200}}) {
-    serving::ServerOptions options;
-    options.num_shards = 2;
-    options.max_batch = 8;
-    options.batch_window_us = window_us;
-    serving::Server server(
-        [&](size_t) {
-          return std::make_unique<serving::ResilientModel>(
-              std::make_unique<serving::ModelRef>(&cnn),
-              std::make_unique<serving::ModelRef>(&baseline));
-        },
-        options);
+  // Each server is shut down before the model is quantized.
+  OnBothTiers(cnn, {}, [&] {
+    for (int64_t window_us : {int64_t{0}, int64_t{200}}) {
+      serving::ServerOptions options;
+      options.num_shards = 2;
+      options.max_batch = 8;
+      options.batch_window_us = window_us;
+      serving::Server server(
+          [&](size_t) {
+            return std::make_unique<serving::ResilientModel>(
+                std::make_unique<serving::ModelRef>(&cnn),
+                std::make_unique<serving::ModelRef>(&baseline));
+          },
+          options);
 
-    // Concurrent clients issue overlapping statements so batches mix
-    // duplicates and distinct queries across both shards.
-    constexpr int kClients = 4;
-    constexpr int kPerClient = 12;
-    std::vector<std::thread> clients;
-    std::vector<std::vector<std::pair<std::string, std::vector<float>>>>
-        results(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (int i = 0; i < kPerClient; ++i) {
-          const std::string& s =
-              train.statements[(c * 7 + i * 3) % train.statements.size()];
-          serving::ServerReply reply = server.Call(s);
-          ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
-          ASSERT_EQ(reply.tier, serving::Tier::kPrimary);
-          results[c].emplace_back(s, std::move(reply.prediction));
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    server.Shutdown();
+      // Concurrent clients issue overlapping statements so batches mix
+      // duplicates and distinct queries across both shards.
+      constexpr int kClients = 4;
+      constexpr int kPerClient = 12;
+      std::vector<std::thread> clients;
+      std::vector<std::vector<std::pair<std::string, std::vector<float>>>>
+          results(kClients);
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          for (int i = 0; i < kPerClient; ++i) {
+            const std::string& s =
+                train.statements[(c * 7 + i * 3) % train.statements.size()];
+            serving::ServerReply reply = server.Call(s);
+            ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+            ASSERT_EQ(reply.tier, serving::Tier::kPrimary);
+            results[c].emplace_back(s, std::move(reply.prediction));
+          }
+        });
+      }
+      for (auto& t : clients) t.join();
+      server.Shutdown();
 
-    // Whatever batches formed, every reply's bits equal the direct
-    // per-query Predict: micro-batching never changes an answer.
-    for (const auto& client : results) {
-      for (const auto& [statement, prediction] : client) {
-        const std::vector<float> direct = cnn.Predict(statement, 0.0);
-        ASSERT_EQ(prediction.size(), direct.size());
-        for (size_t k = 0; k < direct.size(); ++k) {
-          ASSERT_EQ(prediction[k], direct[k])
-              << "window=" << window_us << " statement=" << statement;
+      // Whatever batches formed, every reply's bits equal the direct
+      // per-query Predict: micro-batching never changes an answer.
+      for (const auto& client : results) {
+        for (const auto& [statement, prediction] : client) {
+          const std::vector<float> direct = cnn.Predict(statement, 0.0);
+          ASSERT_EQ(prediction.size(), direct.size());
+          for (size_t k = 0; k < direct.size(); ++k) {
+            ASSERT_EQ(prediction[k], direct[k])
+                << "window=" << window_us << " statement=" << statement;
+          }
         }
       }
     }
-  }
+  });
 }
 
 // Short concurrency soak: many clients, stats polling, cache churn. Run

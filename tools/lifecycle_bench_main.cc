@@ -79,7 +79,6 @@ struct Args {
   size_t trace_len = 512;
   int inject_every = 10;      // force a regression every N rounds (0 = off)
   bool drift = true;
-  int shadow_window = 16;     // overridden by SQLFACIL_SHADOW_WINDOW
 };
 
 void Usage(const char* argv0) {
@@ -224,11 +223,10 @@ int main(int argc, char** argv) {
       },
       options);
 
-  SwapController::Options copt = SwapController::Options::FromEnv();
-  if (copt.mode == SwapController::Mode::kOff) {
-    copt.mode = SwapController::Mode::kAuto;  // the bench exists to chaos this
-  }
-  if (copt.shadow_window <= 0) copt.shadow_window = args.shadow_window;
+  SwapController::Options copt;
+  copt.mode = SwapController::Mode::kAuto;  // the bench exists to chaos this
+  copt.shadow_window = 16;
+  copt.rollback_delta = 0.05;
   SwapController controller(&registry, copt);
 
   // --- Paced closed-loop load ----------------------------------------------

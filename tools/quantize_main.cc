@@ -1,8 +1,8 @@
 // Offline quantizer: loads a trained fp32 checkpoint (framed, CRC-checked),
 // calibrates activation ranges over a statements file, builds the int8 tier
 // via Model::Quantize, and writes a v2 checkpoint that carries the quantized
-// weights alongside the fp32 ones. The output serves either tier; pick at
-// runtime with SQLFACIL_PRECISION={fp32,int8}.
+// weights alongside the fp32 ones. A model loaded from the output serves
+// int8; the input checkpoint still serves fp32.
 //
 // usage: quantize --model clstm|wlstm|ccnn|wcnn --in ckpt --out ckpt
 //                 [--calib FILE]

@@ -28,7 +28,6 @@
 #include "sqlfacil/models/cnn_model.h"
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/tfidf_model.h"
-#include "sqlfacil/nn/quant.h"
 #include "sqlfacil/serving/loadgen.h"
 #include "sqlfacil/serving/server.h"
 #include "sqlfacil/util/drain.h"
@@ -313,17 +312,6 @@ int main(int argc, char** argv) {
       args.precision == "int8" || args.precision == "both";
   const bool want_fp32 =
       args.precision == "fp32" || args.precision == "both";
-  if (want_int8) {
-    const auto calibration =
-        BuildSessionTrace(128, 0.0, sqlfacil::MixSeed(args.seed, 999));
-    const auto status = model->Quantize(calibration);
-    if (!status.ok()) {
-      std::fprintf(stderr, "quantize failed: %s\n",
-                   status.ToString().c_str());
-      return 2;
-    }
-  }
-
   ServerOptions base_options;
   base_options.num_shards = args.shards;
   if (args.window_us >= 0) base_options.batch_window_us = args.window_us;
@@ -343,14 +331,22 @@ int main(int argc, char** argv) {
       base_options.queue_depth, args.dup_rate);
 
   std::vector<RunRecord> records;
-  const auto saved_precision = sqlfacil::nn::quant::ActivePrecision();
   for (const char* precision : {"fp32", "int8"}) {
     const bool is_int8 = std::strcmp(precision, "int8") == 0;
     if (is_int8 && !want_int8) continue;
     if (!is_int8 && !want_fp32) continue;
-    sqlfacil::nn::quant::SetActivePrecision(
-        is_int8 ? sqlfacil::nn::quant::Precision::kInt8
-                : sqlfacil::nn::quant::Precision::kFp32);
+    if (is_int8) {
+      // The fp32 rounds are done and no server holds the model: build its
+      // int8 tier, which every later Predict serves.
+      const auto calibration =
+          BuildSessionTrace(128, 0.0, sqlfacil::MixSeed(args.seed, 999));
+      const auto status = model->Quantize(calibration);
+      if (!status.ok()) {
+        std::fprintf(stderr, "quantize failed: %s\n",
+                     status.ToString().c_str());
+        return 2;
+      }
+    }
     for (double rate : args.rates) {
       if (sqlfacil::train::DrainRequested()) break;
       records.push_back(RunOne(model.get(), baseline.get(), args,
@@ -372,7 +368,6 @@ int main(int argc, char** argv) {
       PrintRecord(records.back());
     }
   }
-  sqlfacil::nn::quant::SetActivePrecision(saved_precision);
 
   // Derived summary lines (greppable; CI asserts on them).
   uint64_t total_failed = 0;
