@@ -37,8 +37,9 @@ void Restore(const std::vector<nn::Var>& params,
 /// buckets of `bucket` sequences, so every bucket (a single one too) holds
 /// its rows in ascending length order, the order BucketLogits steps on.
 /// Runs `fn(seqs, idx, batch, arena)` per bucket — seqs[i] is statement
-/// idx[i] — and resets the per-thread arena after each. Every row computes
-/// from its own state only, so results do not depend on the partition.
+/// idx[i] — and resets the per-thread arena after each. Every row's state
+/// is a function of its own prefix alone, so results do not depend on the
+/// partition.
 template <typename Fn>
 void ForEachBucket(const std::vector<std::vector<int>>& encoded, int bucket,
                    bool parallel, const Fn& fn) {
@@ -136,6 +137,13 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   stack_ = nn::LstmStack(config_.embed_dim, config_.hidden_dim,
                          config_.num_layers, rng);
   head_ = nn::Linear(config_.hidden_dim, outputs_, rng);
+  // Layer 0's token -> gate table folds the weights trained below, so
+  // every exit (the end, a drain, an exception) rebuilds it from the
+  // weights the model keeps.
+  struct XTableRefresh {
+    LstmModel* model;
+    ~XTableRefresh() { model->RebuildXTable(); }
+  } refresh{this};
 
   auto params = Params();
   nn::AdaMax optimizer(params, config_.lr);
@@ -259,6 +267,7 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
         return;
       }
     }
+    RebuildXTable();
     const double vloss = ValidLoss(valid, valid_encoded);
     valid_history_.push_back(vloss);
     if (vloss < best_valid || valid.size() == 0) {
@@ -295,8 +304,8 @@ Status LstmModel::SaveTo(std::ostream& out) const {
   }
   serialize::WriteTensor(out, head_.weight->value);
   serialize::WriteTensor(out, head_.bias->value);
-  // v2 trailer: the int8 tier. The x_table is derived data (an exact fp32
-  // fold of weights already stored above) and is rebuilt on load.
+  // v2 trailer: the int8 tier. Layer 0's token -> gate table is derived
+  // data (an exact fp32 fold of the weights above): LoadFrom rebuilds it.
   serialize::WriteI32(out, quant_.ready() ? 1 : 0);
   if (quant_.ready()) {
     serialize::WriteF32(out, hidden_scale_);
@@ -387,6 +396,7 @@ Status LstmModel::LoadFrom(std::istream& in) {
     return s;
   }
   if (Status s = read_param(&head_.bias, 1, outputs_); !s.ok()) return s;
+  RebuildXTable();
 
   quant_ = nn::QuantLstmStack{};
   hidden_scale_ = 0.0f;
@@ -406,7 +416,6 @@ Status LstmModel::LoadFrom(std::istream& in) {
   nn::QuantLstmStack q;
   q.num_layers = config_.num_layers;
   q.hidden = hidden;
-  q.vocab = embedding_.table->value.shape()[0];
   q.outputs = outputs_;
   q.hidden_scale = hidden_scale_;
   auto read_qt = [&](nn::quant::QuantizedTensor* dst, int k,
@@ -438,8 +447,6 @@ Status LstmModel::LoadFrom(std::istream& in) {
     return Status::CorruptCheckpoint("quantized head bias size mismatch");
   }
   q.head_bias = std::move(hb).value();
-  // The exact token -> gate fold is derived from the fp32 weights above.
-  q.x_table = nn::BuildLstmXTable(embedding_.table->value, stack_.layers[0]);
   quant_ = std::move(q);
   return Status::Ok();
 }
@@ -456,77 +463,15 @@ void LstmModel::BucketLogits(const std::vector<int>* const* seqs, int batch,
                              bool int8, nn::Arena* arena, float* logits,
                              float* max_abs_h) const {
   if (int8) {
-    nn::LstmInt8Forward(quant_, seqs, batch, arena, logits);
-    return;
+    nn::LstmInt8Forward(quant_, x_table_, seqs, batch, arena, logits);
+  } else {
+    nn::LstmForward(x_table_, stack_, head_, seqs, batch, arena, logits,
+                    max_abs_h);
   }
-  const int d = config_.embed_dim;
-  const int hidden = config_.hidden_dim;
-  const int layers = static_cast<int>(stack_.layers.size());
-  const size_t max_len = seqs[batch - 1]->size();
+}
 
-  // Step workspace, allocated once and reused across every (t, layer) pair
-  // so the arena high-water mark is independent of sequence length.
-  float* x = arena->Alloc(static_cast<size_t>(batch) * d);
-  float* gx = arena->Alloc(static_cast<size_t>(batch) * 4 * hidden);
-  // Per-layer state, updated in place: LstmGates reads a layer's h rows
-  // before the cell overwrites them, and each row's c is read then written
-  // element by element.
-  thread_local std::vector<float*> h, c;
-  h.resize(layers);
-  c.resize(layers);
-  const size_t state_floats = static_cast<size_t>(batch) * hidden;
-  for (int l = 0; l < layers; ++l) {
-    h[l] = arena->AllocZero(state_floats);
-    c[l] = arena->AllocZero(state_floats);
-  }
-  const float* table = embedding_.table->value.data();
-
-  // Rows ascend by length, so the rows still reading tokens at step t are
-  // [first, batch); a finished row keeps its final state untouched.
-  int first = 0;
-  for (size_t t = 0; t < max_len; ++t) {
-    while (seqs[first]->size() <= t) ++first;
-    for (int b = first; b < batch; ++b) {
-      std::copy_n(table + static_cast<size_t>((*seqs[b])[t]) * d, d,
-                  x + static_cast<size_t>(b) * d);
-    }
-    const float* input = x;
-    int input_dim = d;
-    for (int l = 0; l < layers; ++l) {
-      const auto& layer = stack_.layers[l];
-      // Gate pre-activations in one register-resident sweep:
-      // gx = x @ Wx + bias + h @ Wh (same term order as the training fast
-      // path's forward).
-      nn::simd::LstmGates(input, layer.input_map.weight->value.data(),
-                          layer.input_map.bias->value.data(), h[l],
-                          layer.hidden_map.weight->value.data(), gx, first,
-                          batch, input_dim, hidden, 4 * hidden);
-      for (int b = first; b < batch; ++b) {
-        float* h_row = h[l] + static_cast<size_t>(b) * hidden;
-        float* c_row = c[l] + static_cast<size_t>(b) * hidden;
-        // Gate order [update, forget, output, candidate], matching
-        // SplitGates.
-        float* row = gx + static_cast<size_t>(b) * 4 * hidden;
-        nn::simd::SigmoidInPlace(row, 3 * static_cast<size_t>(hidden));
-        nn::simd::TanhInPlace(row + 3 * hidden, hidden);
-        nn::simd::LstmCellForward(row, row + hidden, row + 2 * hidden,
-                                  row + 3 * hidden, c_row, c_row, h_row,
-                                  static_cast<size_t>(hidden));
-        if (max_abs_h != nullptr) {
-          for (int j = 0; j < hidden; ++j) {
-            const float a = std::fabs(h_row[j]);
-            if (a > *max_abs_h) *max_abs_h = a;
-          }
-        }
-      }
-      input = h[l];
-      input_dim = hidden;
-    }
-  }
-
-  nn::infer::MatMul(h[layers - 1], head_.weight->value.data(), logits,
-                    batch, hidden, outputs_);
-  nn::infer::BiasAdd(logits, head_.bias->value.data(), batch, outputs_);
+void LstmModel::RebuildXTable() {
+  x_table_ = nn::BuildLstmXTable(embedding_.table->value, stack_.layers[0]);
 }
 
 std::vector<std::vector<float>> LstmModel::PredictBatch(
@@ -581,8 +526,7 @@ Status LstmModel::Quantize(std::span<const std::string> calibration) {
                       &max_abs);
                 });
   hidden_scale_ = std::max(max_abs, 1e-6f) / 127.0f;
-  quant_ = nn::BuildQuantLstmStack(embedding_.table->value, stack_, head_,
-                                   outputs_, hidden_scale_);
+  quant_ = nn::BuildQuantLstmStack(stack_, head_, outputs_, hidden_scale_);
   return Status::Ok();
 }
 

@@ -18,7 +18,10 @@ namespace sqlfacil::models {
 /// through a stacked LSTM; the top layer's final hidden state is the query
 /// representation, mapped by a linear unit to class logits (softmax +
 /// cross-entropy) or a scalar (Huber). Trained with AdaMax; batches are
-/// length-bucketed and padded with state masking.
+/// length-bucketed and padded with state masking. Outside training, layer
+/// 0's embedding and input transform are one exact token -> gate table
+/// (nn::BuildLstmXTable) that the model rebuilds whenever its weights
+/// change and both inference tiers read.
 class LstmModel : public Model {
  public:
   struct Config {
@@ -53,11 +56,12 @@ class LstmModel : public Model {
   /// Batched fast path: queries are length-bucketed (stable sort by encoded
   /// length, fixed bucket size), so every bucket holds its rows in
   /// ascending length order, and each bucket runs a fused graph-free
-  /// forward with all temporaries in a per-thread arena. Each step computes
-  /// only the rows still reading tokens and updates their state in place,
-  /// so no padded step is ever computed. Predict is a batch of one; the
-  /// bucket partition never changes a result because every step kernel is
-  /// row-independent and a finished row's state is never touched again.
+  /// forward with all temporaries in a per-thread arena. The forward steps
+  /// each distinct token prefix of a bucket once (nn::LstmForward's plan):
+  /// rows that share a prefix share its state, and no padded step is ever
+  /// computed. Predict is a batch of one; the bucket partition never
+  /// changes a result because every state is a function of its row's
+  /// prefix alone.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -65,9 +69,9 @@ class LstmModel : public Model {
   size_t num_parameters() const override;
   /// Builds the int8 tier (nn/lstm_fused.h QuantLstmStack): runs the fp32
   /// inference path over `calibration` to find max|h| (one shared u8 hidden
-  /// scale), folds layer 0's token -> gate transform into an exact fp32
-  /// lookup table, and quantizes the recurrent, stacked, and head weights.
-  /// Fit drops the tier.
+  /// scale) and quantizes the recurrent, stacked, and head weights; layer
+  /// 0's input transform stays the exact token -> gate table. Fit drops the
+  /// tier.
   Status Quantize(std::span<const std::string> calibration) override;
   /// True when the int8 tier is built, i.e. when Predict serves int8.
   bool quantized() const { return quant_.ready(); }
@@ -88,15 +92,16 @@ class LstmModel : public Model {
   /// are encoded statements (>= 1 token each) in ascending length order
   /// (ForEachBucket's order), and the (batch x outputs_) row-major logits
   /// land in `logits`; temporaries come from `arena` (caller resets it).
-  /// Step t runs the embedding gather, gates and cell only over the rows
-  /// [first, batch) whose length exceeds t, updating each layer's h/c in
-  /// place. The int8 tier (quant_ must be ready) runs nn::LstmInt8Forward
-  /// under the same contract. When `max_abs_h` is non-null, the fp32
-  /// forward also accumulates max|h| over every computed hidden state (all
-  /// layers, all steps) — the int8 tier's activation calibration.
+  /// Runs nn::LstmForward on the fp32 weights, or nn::LstmInt8Forward on
+  /// the int8 tier (quant_ must be ready); both step each distinct prefix
+  /// once and read x_table_ for layer 0. When `max_abs_h` is non-null, the
+  /// fp32 forward also accumulates max|h| over every computed hidden state
+  /// (all layers, all steps) — the int8 tier's activation calibration.
   void BucketLogits(const std::vector<int>* const* seqs, int batch, bool int8,
                     nn::Arena* arena, float* logits,
                     float* max_abs_h = nullptr) const;
+  /// Refolds x_table_ from the current embedding and layer-0 weights.
+  void RebuildXTable();
   std::vector<nn::Var> Params() const;
   /// Mean validation loss from BucketLogits on the fp32 tier.
   double ValidLoss(const Dataset& valid,
@@ -109,6 +114,8 @@ class LstmModel : public Model {
   nn::Embedding embedding_;
   nn::LstmStack stack_;
   nn::Linear head_;
+  /// Layer 0's token -> gate table (vocab x 4H) for the current weights.
+  std::vector<float> x_table_;
   std::vector<double> valid_history_;
   nn::QuantLstmStack quant_;
   float hidden_scale_ = 0.0f;

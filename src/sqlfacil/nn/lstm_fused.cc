@@ -342,25 +342,20 @@ std::vector<float> BuildLstmXTable(const Tensor& embedding,
   return table;
 }
 
-QuantLstmStack BuildQuantLstmStack(const Tensor& embedding,
-                                   const LstmStack& stack, const Linear& head,
+QuantLstmStack BuildQuantLstmStack(const LstmStack& stack, const Linear& head,
                                    int outputs, float hidden_scale) {
   QuantLstmStack q;
   q.num_layers = static_cast<int>(stack.layers.size());
   q.hidden = stack.layers.empty() ? 0 : stack.layers[0].hidden_dim;
-  q.vocab = embedding.shape()[0];
   q.outputs = outputs;
   q.hidden_scale = hidden_scale > 0 ? hidden_scale : 1.0f / 127.0f;
   const int hidden = q.hidden;
   const int gates = 4 * hidden;
 
-  // Layer 0 input transform folded into an exact fp32 lookup: the same
-  // MatMul + BiasAdd kernels the fp32 tier uses, evaluated once per vocab
-  // row at quantization time.
-  const auto& l0 = stack.layers[0];
-  q.x_table = BuildLstmXTable(embedding, l0);
-  q.wh0 = quant::QuantizeWeights(l0.hidden_map.weight->value.data(), hidden,
-                                 gates);
+  // Layer 0's input transform is the exact fp32 token -> gate table the
+  // model owns; only the recurrent weights are quantized.
+  q.wh0 = quant::QuantizeWeights(
+      stack.layers[0].hidden_map.weight->value.data(), hidden, gates);
 
   // Layers >= 1: stack [Wx; Wh] row-wise into one (2H x 4H) tensor so the
   // step input is the concatenated [h_below, h_prev] byte row.
@@ -383,7 +378,165 @@ QuantLstmStack BuildQuantLstmStack(const Tensor& embedding,
   return q;
 }
 
-void LstmInt8Forward(const QuantLstmStack& q,
+namespace {
+
+/// A row and the row whose slots it reads from: a split's (new leader,
+/// parent) or an end's (follower, leader).
+struct RowLink {
+  int row;
+  int from;
+};
+
+/// The prefix-sharing step plan of one bucket (see LstmForward), over rows
+/// in ascending length order. state_[b] is the row whose slots hold row b's
+/// state: -1 (the zero state) before step 0, then its group's leader. A
+/// group's leader is its lowest row, so a row that leads once leads its
+/// own prefix until it ends, and the rows sharing its slots are never
+/// shorter than it: a follower ends at the same step as its leader, or
+/// outlives it and then joins a new group whose leader copies the ended
+/// leader's slots. So no slot is overwritten while another row reads it.
+class PrefixPlan {
+ public:
+  /// Starts a bucket: seqs[0..batch) in ascending length order.
+  void Reset(const std::vector<int>* const* seqs, int batch) {
+    seqs_ = {seqs, static_cast<size_t>(batch)};
+    first_ = 0;
+    state_.assign(seqs_.size(), -1);
+  }
+
+  /// Plans step t; steps run in order from 0.
+  void Plan(size_t t) {
+    while (seqs_[first_]->size() <= t) ++first_;
+    leaders_.clear();
+    group_parent_.clear();
+    splits_.clear();
+    ends_.clear();
+    for (size_t b = first_; b < seqs_.size(); ++b) {
+      const int row = static_cast<int>(b);
+      const int parent = state_[b];
+      const int token = (*seqs_[b])[t];
+      int leader = row;
+      for (size_t g = 0; g < leaders_.size(); ++g) {
+        const size_t lead = static_cast<size_t>(leaders_[g]);
+        if (group_parent_[g] == parent && (*seqs_[lead])[t] == token) {
+          leader = leaders_[g];
+          break;
+        }
+      }
+      if (leader == row) {
+        leaders_.push_back(row);
+        group_parent_.push_back(parent);
+        if (parent >= 0 && parent != row) splits_.push_back({row, parent});
+      } else if (seqs_[b]->size() == t + 1) {
+        ends_.push_back({row, leader});
+      }
+      state_[b] = leader;
+    }
+  }
+
+  /// The rows that run step t, ascending.
+  const std::vector<int>& leaders() const { return leaders_; }
+  /// New leaders, each with the row whose slots hold its state through
+  /// t - 1: copied before the step runs.
+  const std::vector<RowLink>& splits() const { return splits_; }
+  /// Rows whose last token is t behind another row: after the step, each
+  /// takes its leader's top-layer h.
+  const std::vector<RowLink>& ends() const { return ends_; }
+
+ private:
+  std::span<const std::vector<int>* const> seqs_;
+  size_t first_ = 0;  // rows below it have ended
+  std::vector<int> state_;
+  std::vector<int> leaders_;
+  std::vector<int> group_parent_;  // leaders_[g]'s state before this step
+  std::vector<RowLink> splits_;
+  std::vector<RowLink> ends_;
+};
+
+}  // namespace
+
+void LstmForward(std::span<const float> x_table, const LstmStack& stack,
+                 const Linear& head, const std::vector<int>* const* seqs,
+                 int batch, Arena* arena, float* logits, float* max_abs_h) {
+  const int layers = static_cast<int>(stack.layers.size());
+  const int hidden = stack.layers[0].hidden_dim;
+  const int gates = 4 * hidden;
+  const int outputs = head.weight->value.cols();
+  const size_t max_len = seqs[batch - 1]->size();
+
+  // Per-layer state slots, one row per bucket row: a leader's gates read
+  // its h row before the cell overwrites it, and each c is read then
+  // written element by element.
+  thread_local std::vector<float*> h, c;
+  h.resize(layers);
+  c.resize(layers);
+  const size_t state_floats = static_cast<size_t>(batch) * hidden;
+  for (int l = 0; l < layers; ++l) {
+    h[l] = arena->AllocZero(state_floats);
+    c[l] = arena->AllocZero(state_floats);
+  }
+  auto slot = [hidden](float* state, int row) {
+    return state + static_cast<size_t>(row) * hidden;
+  };
+  const size_t row_bytes = static_cast<size_t>(hidden) * sizeof(float);
+  float* gx = arena->Alloc(static_cast<size_t>(gates));  // one leader's gates
+
+  thread_local PrefixPlan plan;
+  plan.Reset(seqs, batch);
+  for (size_t t = 0; t < max_len; ++t) {
+    plan.Plan(t);
+    for (const RowLink& s : plan.splits()) {
+      for (int l = 0; l < layers; ++l) {
+        std::memcpy(slot(h[l], s.row), slot(h[l], s.from), row_bytes);
+        std::memcpy(slot(c[l], s.row), slot(c[l], s.from), row_bytes);
+      }
+    }
+    for (int l = 0; l < layers; ++l) {
+      const auto& layer = stack.layers[l];
+      const float* wh = layer.hidden_map.weight->value.data();
+      for (const int b : plan.leaders()) {
+        float* h_row = slot(h[l], b);
+        float* c_row = slot(c[l], b);
+        if (l == 0) {
+          // (emb[token] @ Wx0 + bias0) + h @ Wh0: LstmGates' sum in its
+          // order, with the first two terms read from the table.
+          const auto x_row = x_table.subspan(
+              static_cast<size_t>((*seqs[b])[t]) * gates, gates);
+          std::copy(x_row.begin(), x_row.end(), gx);
+          simd::MatMulRows(h_row, wh, gx, 0, 1, hidden, gates);
+        } else {
+          simd::LstmGates(slot(h[l - 1], b),
+                          layer.input_map.weight->value.data(),
+                          layer.input_map.bias->value.data(), h_row, wh, gx,
+                          0, 1, hidden, hidden, gates);
+        }
+        // Gate order [update, forget, output, candidate], matching
+        // SplitGates.
+        simd::SigmoidInPlace(gx, 3 * static_cast<size_t>(hidden));
+        simd::TanhInPlace(gx + 3 * hidden, hidden);
+        simd::LstmCellForward(gx, gx + hidden, gx + 2 * hidden,
+                              gx + 3 * hidden, c_row, c_row, h_row,
+                              static_cast<size_t>(hidden));
+        if (max_abs_h != nullptr) {
+          for (int j = 0; j < hidden; ++j) {
+            const float a = std::fabs(h_row[j]);
+            if (a > *max_abs_h) *max_abs_h = a;
+          }
+        }
+      }
+    }
+    for (const RowLink& e : plan.ends()) {
+      std::memcpy(slot(h[layers - 1], e.row), slot(h[layers - 1], e.from),
+                  row_bytes);
+    }
+  }
+
+  infer::MatMul(h[layers - 1], head.weight->value.data(), logits, batch,
+                hidden, outputs);
+  infer::BiasAdd(logits, head.bias->value.data(), batch, outputs);
+}
+
+void LstmInt8Forward(const QuantLstmStack& q, std::span<const float> x_table,
                      const std::vector<int>* const* seqs, int batch,
                      Arena* arena, float* logits) {
   const int hidden = q.hidden;
@@ -396,9 +549,9 @@ void LstmInt8Forward(const QuantLstmStack& q,
     return reinterpret_cast<uint8_t*>(arena->Alloc((bytes + 3) / 4));
   };
 
-  // Persistent per-layer state, updated in place: the fp32 cell and the u8
-  // hidden bytes. Initial h = 0 quantizes to the zero point 128 exactly, so
-  // the byte slabs start at 128 everywhere (including the quad-dot tail
+  // Per-layer state slots, one row per bucket row: the fp32 cell and the
+  // u8 hidden bytes. Initial h = 0 quantizes to the zero point 128 exactly,
+  // so the byte slabs start at 128 everywhere (including the quad-dot tail
   // pad).
   const int hq_stride = 4 * q.wh0.k4;          // layer-0 GEMV row bytes
   const int cat_stride = q.wcat.empty() ? 2 * hidden : 4 * q.wcat[0].k4;
@@ -412,77 +565,72 @@ void LstmInt8Forward(const QuantLstmStack& q,
     std::memset(h_q[l], quant::kActZeroPoint,
                 static_cast<size_t>(batch) * hq_stride);
   }
+  auto h_slot = [&](int l, int row) {
+    return h_q[l] + static_cast<size_t>(row) * hq_stride;
+  };
+  auto c_slot = [&](int l, int row) {
+    return c_state[l] + static_cast<size_t>(row) * hidden;
+  };
+  // One leader's scratch: GEMV accumulators, gates, fp32 h, and the
+  // [h_below, h_prev] bytes of layers >= 1.
   int32_t* acc = reinterpret_cast<int32_t*>(
-      arena->Alloc(static_cast<size_t>(batch) * q.wh0.n_pad));
-  float* gx = arena->Alloc(static_cast<size_t>(batch) * gates);
-  float* base = arena->Alloc(static_cast<size_t>(batch) * gates);
+      arena->Alloc(static_cast<size_t>(q.wh0.n_pad)));
+  float* gx = arena->Alloc(static_cast<size_t>(gates));
   float* h_out = arena->Alloc(static_cast<size_t>(hidden));
-  uint8_t* cat_q = alloc_bytes(static_cast<size_t>(batch) * cat_stride);
-  if (!q.wcat.empty()) {
-    std::memset(cat_q, quant::kActZeroPoint,
-                static_cast<size_t>(batch) * cat_stride);
-  }
+  uint8_t* cat_q = alloc_bytes(static_cast<size_t>(cat_stride));
+  std::memset(cat_q, quant::kActZeroPoint, static_cast<size_t>(cat_stride));
 
-  // Rows ascend by length, so the rows still reading tokens at step t are
-  // [first, batch); a finished row keeps its final state untouched.
-  size_t first = 0;
-  const size_t end = static_cast<size_t>(batch);
+  thread_local PrefixPlan plan;
+  plan.Reset(seqs, batch);
   for (size_t t = 0; t < max_len; ++t) {
-    while (seqs[first]->size() <= t) ++first;
+    plan.Plan(t);
+    for (const RowLink& s : plan.splits()) {
+      for (int l = 0; l < layers; ++l) {
+        std::memcpy(c_slot(l, s.row), c_slot(l, s.from),
+                    static_cast<size_t>(hidden) * sizeof(float));
+        std::memcpy(h_slot(l, s.row), h_slot(l, s.from),
+                    static_cast<size_t>(hq_stride));
+      }
+    }
     for (int l = 0; l < layers; ++l) {
       const quant::QuantizedTensor& w = l == 0 ? q.wh0 : q.wcat[l - 1];
-      const float* bias_row;
-      size_t bias_stride;
-      if (l == 0) {
-        // The exact token -> gate rows: read in place when one row is
-        // active (a broadcast base row), gathered otherwise.
-        if (first + 1 == end) {
-          const int id = (*seqs[first])[t];
-          bias_row = q.x_table.data() + static_cast<size_t>(id) * gates;
-          bias_stride = 0;
+      for (const int b : plan.leaders()) {
+        const uint8_t* a;
+        const float* base;
+        if (l == 0) {
+          // The exact token -> gate row is the dequantization's base.
+          a = h_slot(0, b);
+          base = x_table
+                     .subspan(static_cast<size_t>((*seqs[b])[t]) * gates,
+                              gates)
+                     .data();
         } else {
-          for (size_t b = first; b < end; ++b) {
-            const int id = (*seqs[b])[t];
-            std::memcpy(base + b * gates,
-                        q.x_table.data() + static_cast<size_t>(id) * gates,
-                        static_cast<size_t>(gates) * sizeof(float));
-          }
-          bias_row = base;
-          bias_stride = static_cast<size_t>(gates);
-        }
-        simd::Int8GemmRowsNoSat(h_q[0], static_cast<size_t>(hq_stride),
-                                w.packed.data(), w.k4, w.n_pad, acc, w.n_pad,
-                                first, end);
-      } else {
-        // Concatenate [h_below(t), h_prev(t-1)]: h_q[l - 1] was updated
-        // this step by the layer below, h_q[l] still holds t - 1.
-        for (size_t b = first; b < end; ++b) {
-          uint8_t* row = cat_q + b * cat_stride;
-          std::memcpy(row, h_q[l - 1] + b * hq_stride,
+          // [h_below(t), h_prev(t-1)]: the layer below updated its slot
+          // this step, this layer's slot still holds t - 1.
+          std::memcpy(cat_q, h_slot(l - 1, b), static_cast<size_t>(hidden));
+          std::memcpy(cat_q + hidden, h_slot(l, b),
                       static_cast<size_t>(hidden));
-          std::memcpy(row + hidden, h_q[l] + b * hq_stride,
-                      static_cast<size_t>(hidden));
+          a = cat_q;
+          base = q.bias[l - 1].data();
         }
-        bias_row = q.bias[l - 1].data();
-        bias_stride = 0;
-        simd::Int8GemmRowsNoSat(cat_q, static_cast<size_t>(cat_stride),
-                                w.packed.data(), w.k4, w.n_pad, acc, w.n_pad,
-                                first, end);
-      }
-      simd::Int8DequantRows(acc, w.n_pad, w.col_corr.data(),
-                            q.hidden_scale * w.scale, bias_row, bias_stride,
-                            gx, static_cast<size_t>(gates), first, end, gates);
-      for (size_t b = first; b < end; ++b) {
-        float* row = gx + b * gates;
-        float* c = c_state[l] + b * hidden;
-        simd::SigmoidInPlace(row, 3 * static_cast<size_t>(hidden));
-        simd::TanhInPlace(row + 3 * hidden, hidden);
-        simd::LstmCellForward(row, row + hidden, row + 2 * hidden,
-                              row + 3 * hidden, c, c, h_out,
+        simd::Int8GemmRowsNoSat(a, 0, w.packed.data(), w.k4, w.n_pad, acc,
+                                w.n_pad, 0, 1);
+        simd::Int8DequantRows(acc, w.n_pad, w.col_corr.data(),
+                              q.hidden_scale * w.scale, base, 0, gx,
+                              static_cast<size_t>(gates), 0, 1, gates);
+        float* c = c_slot(l, b);
+        simd::SigmoidInPlace(gx, 3 * static_cast<size_t>(hidden));
+        simd::TanhInPlace(gx + 3 * hidden, hidden);
+        simd::LstmCellForward(gx, gx + hidden, gx + 2 * hidden,
+                              gx + 3 * hidden, c, c, h_out,
                               static_cast<size_t>(hidden));
         simd::Int8Quantize(h_out, static_cast<size_t>(hidden),
-                           inv_hidden_scale, h_q[l] + b * hq_stride);
+                           inv_hidden_scale, h_slot(l, b));
       }
+    }
+    for (const RowLink& e : plan.ends()) {
+      std::memcpy(h_slot(layers - 1, e.row), h_slot(layers - 1, e.from),
+                  static_cast<size_t>(hq_stride));
     }
   }
 

@@ -2,6 +2,7 @@
 #define SQLFACIL_NN_LSTM_FUSED_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sqlfacil/nn/autograd.h"
@@ -37,10 +38,9 @@ Var LstmSequence(const Var& table, const LstmStack& stack,
 
 /// The int8 precision tier's LSTM stack (nn/quant.h scheme), built offline
 /// from trained fp32 parameters:
-///   - Layer 0's token -> gate input transform is exact: every embedding
-///     row's product with Wx0 (+ bias) is folded into a fp32 lookup table
-///     at quantization time, so per step only the recurrent product h @ Wh0
-///     is quantized.
+///   - Layer 0's token -> gate input transform is exact: it is the model's
+///     fp32 table BuildLstmXTable, which both tiers read, so per step only
+///     the recurrent product h @ Wh0 is quantized.
 ///   - Hidden states are u8 activations under ONE calibrated scale (they
 ///     are o * tanh(c) products, so a single max|h| range covers every
 ///     layer); layers >= 1 therefore stack [Wx; Wh] into one (2H x 4H)
@@ -56,10 +56,8 @@ Var LstmSequence(const Var& table, const LstmStack& stack,
 struct QuantLstmStack {
   int num_layers = 0;
   int hidden = 0;
-  int vocab = 0;
   int outputs = 0;
   float hidden_scale = 0.0f;   // u8 scale for every hidden state
-  std::vector<float> x_table;  // (vocab x 4H): emb[v] @ Wx0 + bias0, exact
   quant::QuantizedTensor wh0;  // (H x 4H)
   std::vector<quant::QuantizedTensor> wcat;  // per layer l>=1: (2H x 4H)
   std::vector<std::vector<float>> bias;      // per layer l>=1: (4H)
@@ -69,26 +67,49 @@ struct QuantLstmStack {
   bool ready() const { return num_layers > 0; }
 };
 
-/// The layer-0 token -> gate lookup (vocab x 4H): emb[v] @ Wx0 + bias0,
-/// computed once with the exact fp32 inference kernels. Derived data:
-/// checkpoints rebuild it from the fp32 weights instead of storing it.
+/// The layer-0 token -> gate table (vocab x 4H): emb[v] @ Wx0 + bias0, by
+/// the exact fp32 inference kernels (MatMul, then BiasAdd). Row v is
+/// LstmGates' accumulator after the bias for embedding row v, so a step
+/// that starts its gates from the row and adds h @ Wh0 (simd::MatMulRows)
+/// computes LstmGates' bits. Derived data: the model rebuilds it whenever
+/// its weights change, and checkpoints do not store it.
 std::vector<float> BuildLstmXTable(const Tensor& embedding,
                                    const LstmLayer& layer0);
 
 /// Builds the quantized stack from trained parameters. `hidden_scale` is
 /// max|h| / 127 from calibration (see LstmModel::Quantize).
-QuantLstmStack BuildQuantLstmStack(const Tensor& embedding,
-                                   const LstmStack& stack, const Linear& head,
+QuantLstmStack BuildQuantLstmStack(const LstmStack& stack, const Linear& head,
                                    int outputs, float hidden_scale);
 
-/// Graph-free int8 forward over a bucket: seqs[b] is query b's encoded ids
-/// (>= 1 token each; ids within the length are non-negative), with the
-/// rows in ascending length order. Step t computes only the rows whose
-/// length exceeds t (a suffix of the bucket) and updates their state in
-/// place. Writes logits (batch x outputs, row-major) into `logits`; all
-/// temporaries come from `arena` (caller resets it). Row b depends only on
-/// seqs[b], so any bucket partition is bit-identical.
-void LstmInt8Forward(const QuantLstmStack& q,
+/// The serving forwards of one bucket: seqs[0..batch) are encoded
+/// statements (>= 1 token each, every id a row of `x_table`) in ascending
+/// length order, the (batch x outputs) row-major logits land in `logits`,
+/// and all temporaries come from `arena` (the caller resets it).
+///
+/// Both tiers step one prefix-sharing plan. A row's state after step t is
+/// a function of its first t + 1 tokens alone, so at step t the rows still
+/// reading tokens are grouped by (the row whose slots hold their prefix
+/// state, token t), and only each group's leader, its lowest row, runs the
+/// gates and the cell, updating its per-layer h/c slots in place. Rows
+/// whose prefix splits off from their leader's form a new group, whose
+/// leader first copies the old leader's per-layer h/c; a row that ends
+/// behind a leader takes the leader's top-layer h. Every state is thus the
+/// one the row would compute alone: row b depends only on seqs[b], so
+/// neither the bucket partition nor the other rows change a bit.
+///
+/// fp32: layer 0 starts each gate row from x_table's row for the token and
+/// adds h @ Wh0; layers >= 1 run LstmGates. When `max_abs_h` is non-null
+/// it also accumulates max|h| over every computed hidden state (the int8
+/// tier's activation calibration); a shared state holds the same values
+/// its followers would compute, so the maximum is unchanged by sharing.
+void LstmForward(std::span<const float> x_table, const LstmStack& stack,
+                 const Linear& head, const std::vector<int>* const* seqs,
+                 int batch, Arena* arena, float* logits,
+                 float* max_abs_h = nullptr);
+
+/// int8: layer 0 dequantizes the quantized h @ Wh0 onto x_table's row for
+/// the token; layers >= 1 run one quad-dot GEMV over [h_below, h_prev].
+void LstmInt8Forward(const QuantLstmStack& q, std::span<const float> x_table,
                      const std::vector<int>* const* seqs, int batch,
                      Arena* arena, float* logits);
 

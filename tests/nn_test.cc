@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -587,6 +588,100 @@ TEST(InferTest, KimCnnForwardMatchesAutogradBitwise) {
               << "logit " << j << " simd=" << simd_on << " length " << t
               << " kernels " << kernels;
         }
+      }
+    }
+  }
+  simd::SetEnabled(saved_simd);
+}
+
+// The LSTM serving forward (LstmForward: the shared-prefix step plan, layer
+// 0 started from BuildLstmXTable's rows) against each sequence run alone
+// through the unfolded math: embedding row -> LstmGates (x @ Wx, bias,
+// h @ Wh) -> sigmoid/tanh -> LstmCellForward per layer, then the head's
+// MatMul + BiasAdd. Bit for bit under either SIMD dispatch, on buckets
+// whose rows share prefixes, repeat, end inside one another, or share no
+// first token; the calibration's max|h| must match as well. Hidden sizes 5
+// and 16 run the gate kernels' 8-column groups with a scalar tail and a
+// full 64-column block.
+TEST(InferTest, LstmServingForwardMatchesPerRowReference) {
+  const bool saved_simd = simd::Enabled();
+  const int vocab = 12, d = 5, layers = 3, outputs = 3;
+  // Each bucket ascends by length, the order the forward steps on.
+  const std::vector<std::vector<std::vector<int>>> buckets = {
+      // Prefixes that split at different steps, one after its leader ends.
+      {{1, 2}, {1, 2, 3}, {1, 2, 4}, {1, 5, 3, 3}, {1, 2, 3, 7, 8}},
+      // A strict prefix of two duplicates, and a row of its own.
+      {{3}, {3, 6, 6}, {3, 6, 6}, {9, 6, 6, 2}},
+      // No shared first token; later tokens coincide under other prefixes.
+      {{0, 4}, {2, 4}, {11, 4, 4}, {7, 4, 4, 4}},
+      // A single row.
+      {{5, 5, 5}},
+  };
+  for (const int hidden : {5, 16}) {
+    Rng rng(43);
+    Embedding emb(vocab, d, &rng);
+    LstmStack stack(d, hidden, layers, &rng);
+    Linear head(hidden, outputs, &rng);
+    const int gate_cols = 4 * hidden;
+    for (bool simd_on : {false, true}) {
+      if (simd_on && !simd::HasAvx2()) continue;
+      simd::SetEnabled(simd_on);
+      const std::vector<float> x_table =
+          BuildLstmXTable(emb.table->value, stack.layers[0]);
+      for (const auto& seqs : buckets) {
+        const size_t batch = seqs.size();
+        std::vector<float> want(batch * outputs);
+        float want_max = 0.0f;
+        std::vector<float> gates(gate_cols);
+        for (size_t b = 0; b < batch; ++b) {
+          std::vector<std::vector<float>> h(
+              layers, std::vector<float>(hidden, 0.0f));
+          std::vector<std::vector<float>> c = h;
+          for (const int id : seqs[b]) {
+            const float* input =
+                emb.table->value.data() + static_cast<size_t>(id) * d;
+            int input_dim = d;
+            for (int l = 0; l < layers; ++l) {
+              const LstmLayer& layer = stack.layers[l];
+              simd::LstmGates(input, layer.input_map.weight->value.data(),
+                              layer.input_map.bias->value.data(),
+                              h[l].data(),
+                              layer.hidden_map.weight->value.data(),
+                              gates.data(), 0, 1, input_dim, hidden,
+                              gate_cols);
+              float* g = gates.data();
+              simd::SigmoidInPlace(g, 3 * static_cast<size_t>(hidden));
+              simd::TanhInPlace(g + 3 * hidden, hidden);
+              simd::LstmCellForward(g, g + hidden, g + 2 * hidden,
+                                    g + 3 * hidden, c[l].data(), c[l].data(),
+                                    h[l].data(), static_cast<size_t>(hidden));
+              for (const float v : h[l]) {
+                want_max = std::max(want_max, std::fabs(v));
+              }
+              input = h[l].data();
+              input_dim = hidden;
+            }
+          }
+          infer::MatMul(h[layers - 1].data(), head.weight->value.data(),
+                        want.data() + b * outputs, 1, hidden, outputs);
+          infer::BiasAdd(want.data() + b * outputs, head.bias->value.data(),
+                         1, outputs);
+        }
+
+        std::vector<const std::vector<int>*> rows;
+        for (const auto& seq : seqs) rows.push_back(&seq);
+        Arena arena;
+        std::vector<float> got(batch * outputs);
+        float got_max = 0.0f;
+        LstmForward(x_table, stack, head, rows.data(),
+                    static_cast<int>(batch), &arena, got.data(), &got_max);
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i], want[i])
+              << "row " << i / outputs << " output " << i % outputs
+              << " hidden " << hidden << " simd=" << simd_on;
+        }
+        EXPECT_EQ(got_max, want_max)
+            << "hidden " << hidden << " simd=" << simd_on;
       }
     }
   }

@@ -417,6 +417,28 @@ TEST(PredictBatchTest, LstmEdgeCases) {
   // so even a single bucket is sorted.
   const std::vector<std::string> unsorted = {long_b, "SELECT ra FROM specobj",
                                              "SELECT", ""};
+  // Prefix shapes for the forward's shared-prefix plan (buckets of 4). A
+  // leader that ends at the step where its followers split (in chars; in
+  // words the second set), so both split off from a finished row.
+  const std::vector<std::string> leader_ends = {"SELECT a", "SELECT ab",
+                                                "SELECT ac"};
+  const std::vector<std::string> leader_ends_words = {
+      "SELECT ra", "SELECT ra FROM specobj", "SELECT ra WHERE objid = 1"};
+  // A three-way split at one step.
+  const std::vector<std::string> three_way = {"SELECT ra FROM specobj",
+                                              "SELECT dec FROM specobj",
+                                              "SELECT objid FROM specobj"};
+  // More exact duplicates than batch_size: one group spans two buckets.
+  const std::string dup = "SELECT ra FROM specobj";
+  const std::vector<std::string> duplicates = {
+      dup, dup, dup, dup, dup, dup, "SELECT dec FROM specobj"};
+  // A row that is a strict prefix of two rows that split later.
+  const std::vector<std::string> strict_prefix = {
+      "SELECT ra FROM specobj", "SELECT ra", "SELECT ra FROM photoobj"};
+  // No shared first token; later tokens coincide under different prefixes.
+  const std::vector<std::string> no_shared_first = {
+      "ra FROM specobj", "dec FROM specobj", "objid FROM specobj",
+      "SELECT ra FROM specobj"};
 
   for (const auto& config : {word, chars}) {
     models::LstmModel model(config);
@@ -425,7 +447,9 @@ TEST(PredictBatchTest, LstmEdgeCases) {
     SCOPED_TRACE(model.name());
     OnBothTiers(model, Calibration(train, train), [&] {
       EXPECT_TRUE(model.PredictBatch(std::vector<std::string>{}).empty());
-      for (const auto* batch : {&one, &mixed, &ties, &unsorted}) {
+      for (const auto* batch :
+           {&one, &mixed, &ties, &unsorted, &leader_ends, &leader_ends_words,
+            &three_way, &duplicates, &strict_prefix, &no_shared_first}) {
         ExpectBitIdentical(model.PredictBatch(*batch),
                            PredictLoop(model, *batch));
       }
