@@ -5,7 +5,8 @@
 # Usage: scripts/ci.sh [build-dir]   (default: build; the benchmark builds
 #        into <build-dir>-perfbench)
 # Exits non-zero on the first failing stage; prints one loud status line
-# per stage so logs are greppable (CI_TESTS_OK / CI_DISK_TESTS_OK /
+# per stage so logs are greppable (CI_BUILD_WARNINGS when the Release
+# build prints a compiler warning, else CI_TESTS_OK / CI_DISK_TESTS_OK /
 # CI_WAL_TESTS_OK / CI_FAILPOINT_MATRIX_OK / CI_STORAGE_MATRIX_OK /
 # CI_WAL_MATRIX_OK / CI_SERVING_SOAK_OK / CI_LIFECYCLE_OK /
 # CI_PERFBENCH_OK / RESUME_CHAOS_OK / CI_CRASH_RECOVERY_OK / ASAN_CLEAN /
@@ -17,7 +18,17 @@ echo "== tier-1 tests (Release) =="
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi
-cmake --build "$BUILD_DIR" -j >/dev/null
+# The build must stay warning-free. Only recompiled files report, so a
+# fresh build dir checks every file.
+BUILD_LOG="$BUILD_DIR/ci_build.log"
+if ! cmake --build "$BUILD_DIR" -j >"$BUILD_LOG" 2>&1; then
+  cat "$BUILD_LOG" >&2
+  exit 1
+fi
+if grep 'warning:' "$BUILD_LOG" >&2; then
+  echo "CI_BUILD_WARNINGS" >&2
+  exit 1
+fi
 if ! ctest --test-dir "$BUILD_DIR" --output-on-failure; then
   echo "CI_TESTS_FAILED" >&2
   exit 1

@@ -10,7 +10,6 @@
 #include "sqlfacil/nn/infer.h"
 #include "sqlfacil/nn/quant.h"
 #include "sqlfacil/nn/simd.h"
-#include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/thread_pool.h"
@@ -18,20 +17,6 @@
 namespace sqlfacil::models {
 
 namespace {
-
-/// Deep copy of parameter values (best-epoch snapshotting).
-std::vector<nn::Tensor> Snapshot(const std::vector<nn::Var>& params) {
-  std::vector<nn::Tensor> out;
-  out.reserve(params.size());
-  for (const auto& p : params) out.push_back(p->value);
-  return out;
-}
-
-void Restore(const std::vector<nn::Var>& params,
-             const std::vector<nn::Tensor>& snapshot) {
-  SQLFACIL_CHECK(params.size() == snapshot.size());
-  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
-}
 
 /// Runs `fn(qb, qe, arena)` over [0, n) in fixed 32-query slices on the
 /// thread pool, resetting the per-thread arena after each. Fixed slices
@@ -268,12 +253,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
   nn::GradShards shards;
   shards.Prepare(params, max_shards);
 
-  std::vector<nn::Tensor> best = Snapshot(params);
-  double best_valid = 1e300;
-  valid_history_.clear();
   const size_t n = train.size();
-  const size_t batches_per_epoch =
-      (n + config_.batch_size - 1) / config_.batch_size;
 
   Fingerprint fp;
   fp.MixString("cnn_model.v1|" + name());
@@ -304,77 +284,59 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
   MixDataset(&fp, valid);
   fp.MixRngState(entry_state);
   TrainSnapshotter snap(config_.snapshot, name(), fp.digest());
-  const ResumePoint at =
-      ResumeOrColdStart(&snap, epochs, batches_per_epoch, params, &optimizer,
-                        rng, &best, &best_valid, &valid_history_);
 
+  EpochLoop loop;
+  loop.params = params;
+  loop.optimizer = &optimizer;
+  loop.epochs = epochs;
+  loop.batches_per_epoch = (n + config_.batch_size - 1) / config_.batch_size;
+  loop.has_valid = valid.size() > 0;
+  std::vector<size_t> perm;
   std::vector<uint64_t> dropout_seeds;
-  for (int epoch = at.epoch; epoch < epochs; ++epoch) {
-    const Rng::State epoch_rng = rng->state();
-    auto perm = rng->Permutation(n);
-    const uint64_t skip = epoch == at.epoch ? at.batch : 0;
-    uint64_t bpos = 0;
-    for (size_t start = 0; start < n; start += config_.batch_size, ++bpos) {
-      const size_t end = std::min(n, start + config_.batch_size);
-      const size_t batch = end - start;
-      // Seeds are drawn even for replayed batches: the master stream must
-      // pass the same positions an uninterrupted run would.
-      dropout_seeds.resize(batch);
-      for (size_t i = 0; i < batch; ++i) dropout_seeds[i] = rng->Next();
-      if (bpos < skip) continue;  // replayed: applied before the snapshot
-      optimizer.ZeroGrad();
-      nn::ShardedTrainStep(
-          params, &shards, batch, max_shards,
-          [&](size_t /*shard*/, size_t sb, size_t se) {
-            nn::Var shard_loss;
-            for (size_t i = sb; i < se; ++i) {
-              const size_t idx = perm[start + i];
-              Rng example_rng(dropout_seeds[i]);
-              nn::Var logits = Forward(encoded[idx], &example_rng);
-              nn::Var loss;
-              if (kind_ == TaskKind::kClassification) {
-                // Distillation: train against the teacher's soft target row
-                // when present; validation still scores hard labels.
-                if (train.soft_labels.size() == train.size()) {
-                  loss = nn::SoftCrossEntropy(logits, train.soft_labels[idx]);
-                } else {
-                  loss = nn::SoftmaxCrossEntropy(logits, {train.labels[idx]});
-                }
-              } else if (config_.use_squared_loss) {
-                loss = nn::SquaredLoss(logits, {train.targets[idx]});
+  loop.begin_epoch = [&](int) {
+    perm = rng->Permutation(n);
+    dropout_seeds.resize(n);
+    for (uint64_t& seed : dropout_seeds) seed = rng->Next();
+  };
+  loop.run_batch = [&](uint64_t bpos) {
+    const size_t start = bpos * config_.batch_size;
+    const size_t end = std::min(n, start + config_.batch_size);
+    const size_t batch = end - start;
+    optimizer.ZeroGrad();
+    nn::ShardedTrainStep(
+        params, &shards, batch, max_shards,
+        [&](size_t /*shard*/, size_t sb, size_t se) {
+          nn::Var shard_loss;
+          for (size_t i = start + sb; i < start + se; ++i) {
+            const size_t idx = perm[i];
+            Rng example_rng(dropout_seeds[i]);
+            nn::Var logits = Forward(encoded[idx], &example_rng);
+            nn::Var loss;
+            if (kind_ == TaskKind::kClassification) {
+              // Distillation: train against the teacher's soft target row
+              // when present; validation still scores hard labels.
+              if (train.soft_labels.size() == train.size()) {
+                loss = nn::SoftCrossEntropy(logits, train.soft_labels[idx]);
               } else {
-                loss = nn::HuberLoss(logits, {train.targets[idx]},
-                                     config_.huber_delta);
+                loss = nn::SoftmaxCrossEntropy(logits, {train.labels[idx]});
               }
-              shard_loss =
-                  shard_loss == nullptr ? loss : nn::Add(shard_loss, loss);
+            } else if (config_.use_squared_loss) {
+              loss = nn::SquaredLoss(logits, {train.targets[idx]});
+            } else {
+              loss = nn::HuberLoss(logits, {train.targets[idx]},
+                                   config_.huber_delta);
             }
-            // Shard's share of the batch-mean loss.
-            return nn::Scale(shard_loss, 1.0f / static_cast<float>(batch));
-          });
-      nn::ClipGradNorm(params, config_.clip_norm);
-      optimizer.Step();
-      if (train::DrainRequested()) {
-        SaveTrainSnapshot(&snap, epoch, bpos + 1, epoch_rng, best_valid,
-                          valid_history_, params, best, &optimizer);
-        Restore(params, best);
-        return;
-      }
-    }
-    const double vloss = ValidLoss(valid);
-    valid_history_.push_back(vloss);
-    if (vloss < best_valid || valid.size() == 0) {
-      best_valid = vloss;
-      best = Snapshot(params);
-    }
-    const bool drained = train::DrainRequested();
-    if (snap.ShouldSnapshot(epoch + 1, epochs) || drained) {
-      SaveTrainSnapshot(&snap, epoch + 1, 0, rng->state(), best_valid,
-                        valid_history_, params, best, &optimizer);
-    }
-    if (drained) break;
-  }
-  Restore(params, best);
+            shard_loss =
+                shard_loss == nullptr ? loss : nn::Add(shard_loss, loss);
+          }
+          // Shard's share of the batch-mean loss.
+          return nn::Scale(shard_loss, 1.0f / static_cast<float>(batch));
+        });
+    nn::ClipGradNorm(params, config_.clip_norm);
+    optimizer.Step();
+  };
+  loop.valid_loss = [&] { return ValidLoss(valid); };
+  RunEpochs(loop, &snap, rng, &valid_history_);
 }
 
 Status CnnModel::Quantize(std::span<const std::string> calibration) {

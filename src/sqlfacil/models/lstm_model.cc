@@ -11,7 +11,6 @@
 #include "sqlfacil/nn/infer.h"
 #include "sqlfacil/nn/lstm_fused.h"
 #include "sqlfacil/nn/simd.h"
-#include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/thread_pool.h"
@@ -19,19 +18,6 @@
 namespace sqlfacil::models {
 
 namespace {
-
-std::vector<nn::Tensor> Snapshot(const std::vector<nn::Var>& params) {
-  std::vector<nn::Tensor> out;
-  out.reserve(params.size());
-  for (const auto& p : params) out.push_back(p->value);
-  return out;
-}
-
-void Restore(const std::vector<nn::Var>& params,
-             const std::vector<nn::Tensor>& snapshot) {
-  SQLFACIL_CHECK(params.size() == snapshot.size());
-  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
-}
 
 /// Length bucketing as in Fit: a stable sort by encoded length, then
 /// buckets of `bucket` sequences, so every bucket (a single one too) holds
@@ -124,7 +110,7 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   quant_ = nn::QuantLstmStack{};
   hidden_scale_ = 0.0f;
   // Captured before any init draw: the fingerprint ties a snapshot to the
-  // exact draw stream this run would produce, and a resumed epoch replays
+  // exact draw stream this run would produce, and a resumed epoch re-draws
   // from this stream's positions.
   const Rng::State entry_state = rng->state();
   kind_ = train.kind;
@@ -179,10 +165,6 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   nn::GradShards shards;
   shards.Prepare(params, max_shards);
 
-  std::vector<nn::Tensor> best = Snapshot(params);
-  double best_valid = 1e300;
-  valid_history_.clear();
-
   Fingerprint fp;
   fp.MixString("lstm_model.v1|" + name());
   fp.MixI32(config_.granularity == sql::Granularity::kChar ? 0 : 1)
@@ -201,87 +183,69 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   MixDataset(&fp, valid);
   fp.MixRngState(entry_state);
   TrainSnapshotter snap(config_.snapshot, name(), fp.digest());
-  const ResumePoint at =
-      ResumeOrColdStart(&snap, config_.epochs, batches.size(), params,
-                        &optimizer, rng, &best, &best_valid, &valid_history_);
 
-  for (int epoch = at.epoch; epoch < config_.epochs; ++epoch) {
-    // The master RNG state at epoch start: a mid-epoch snapshot stores it,
-    // and resume re-draws the identical permutation then skips the batches
-    // that were already applied.
-    const Rng::State epoch_rng = rng->state();
-    auto batch_order = rng->Permutation(batches.size());
-    const uint64_t skip = epoch == at.epoch ? at.batch : 0;
-    for (size_t bpos = 0; bpos < batch_order.size(); ++bpos) {
-      if (bpos < skip) continue;  // replayed: applied before the snapshot
-      const auto& batch = batches[batch_order[bpos]];
-      optimizer.ZeroGrad();
-      nn::ShardedTrainStep(
-          params, &shards, batch.size(), max_shards,
-          [&](size_t /*shard*/, size_t sb, size_t se) {
-            const int sz = static_cast<int>(se - sb);
-            // Pooled shard scratch: shapes are stable across steps, so
-            // steady-state assembly performs no allocation.
-            thread_local std::vector<int> step_ids, lens, labels;
-            thread_local std::vector<float> targets;
-            int max_len = 1;
-            lens.assign(sz, 1);
-            for (int i = 0; i < sz; ++i) {
-              lens[i] = static_cast<int>(encoded[batch[sb + i]].size());
-              max_len = std::max(max_len, lens[i]);
+  EpochLoop loop;
+  loop.params = params;
+  loop.optimizer = &optimizer;
+  loop.epochs = config_.epochs;
+  loop.batches_per_epoch = batches.size();
+  loop.has_valid = valid.size() > 0;
+  std::vector<size_t> batch_order;
+  loop.begin_epoch = [&](int) {
+    batch_order = rng->Permutation(batches.size());
+  };
+  loop.run_batch = [&](uint64_t bpos) {
+    const auto& batch = batches[batch_order[bpos]];
+    optimizer.ZeroGrad();
+    nn::ShardedTrainStep(
+        params, &shards, batch.size(), max_shards,
+        [&](size_t /*shard*/, size_t sb, size_t se) {
+          const int sz = static_cast<int>(se - sb);
+          // Pooled shard scratch: shapes are stable across steps, so
+          // steady-state assembly performs no allocation.
+          thread_local std::vector<int> step_ids, lens, labels;
+          thread_local std::vector<float> targets;
+          int max_len = 1;
+          lens.assign(sz, 1);
+          for (int i = 0; i < sz; ++i) {
+            lens[i] = static_cast<int>(encoded[batch[sb + i]].size());
+            max_len = std::max(max_len, lens[i]);
+          }
+          step_ids.assign(static_cast<size_t>(max_len) * sz, -1);
+          labels.clear();
+          targets.clear();
+          for (int i = 0; i < sz; ++i) {
+            const size_t idx = batch[sb + i];
+            const auto& ids = encoded[idx];
+            for (size_t t = 0; t < ids.size(); ++t) {
+              step_ids[t * sz + i] = ids[t];
             }
-            step_ids.assign(static_cast<size_t>(max_len) * sz, -1);
-            labels.clear();
-            targets.clear();
-            for (int i = 0; i < sz; ++i) {
-              const size_t idx = batch[sb + i];
-              const auto& ids = encoded[idx];
-              for (size_t t = 0; t < ids.size(); ++t) {
-                step_ids[t * sz + i] = ids[t];
-              }
-              if (kind_ == TaskKind::kClassification) {
-                labels.push_back(train.labels[idx]);
-              } else {
-                targets.push_back(train.targets[idx]);
-              }
+            if (kind_ == TaskKind::kClassification) {
+              labels.push_back(train.labels[idx]);
+            } else {
+              targets.push_back(train.targets[idx]);
             }
-            nn::Var h = nn::LstmSequence(embedding_.table, stack_, step_ids,
-                                         lens, max_len);
-            nn::Var out = head_.Apply(h);
-            nn::Var loss =
-                kind_ == TaskKind::kClassification
-                    ? nn::SoftmaxCrossEntropy(out, labels)
-                    : nn::HuberLoss(out, targets, config_.huber_delta);
-            // Per-shard mean -> shard's share of the batch mean.
-            return nn::Scale(loss, static_cast<float>(sz) /
-                                       static_cast<float>(batch.size()));
-          });
-      nn::ClipGradNorm(params, config_.clip_norm);
-      optimizer.Step();
-      if (train::DrainRequested()) {
-        // Graceful drain: the in-flight sharded step finished above; save
-        // the mid-epoch position and stop.
-        SaveTrainSnapshot(&snap, epoch, bpos + 1, epoch_rng, best_valid,
-                          valid_history_, params, best, &optimizer);
-        Restore(params, best);
-        return;
-      }
-    }
+          }
+          nn::Var h = nn::LstmSequence(embedding_.table, stack_, step_ids,
+                                       lens, max_len);
+          nn::Var out = head_.Apply(h);
+          nn::Var loss = kind_ == TaskKind::kClassification
+                             ? nn::SoftmaxCrossEntropy(out, labels)
+                             : nn::HuberLoss(out, targets, config_.huber_delta);
+          // Per-shard mean -> shard's share of the batch mean.
+          return nn::Scale(loss, static_cast<float>(sz) /
+                                     static_cast<float>(batch.size()));
+        });
+    nn::ClipGradNorm(params, config_.clip_norm);
+    optimizer.Step();
+  };
+  // Validation runs the serving forward, which reads layer 0's token ->
+  // gate table: fold the weights just trained into it first.
+  loop.valid_loss = [&] {
     RebuildXTable();
-    const double vloss = ValidLoss(valid, valid_encoded);
-    valid_history_.push_back(vloss);
-    if (vloss < best_valid || valid.size() == 0) {
-      best_valid = vloss;
-      best = Snapshot(params);
-    }
-    const bool drained = train::DrainRequested();
-    if (snap.ShouldSnapshot(epoch + 1, config_.epochs) || drained) {
-      SaveTrainSnapshot(&snap, epoch + 1, 0, rng->state(), best_valid,
-                        valid_history_, params, best, &optimizer);
-    }
-    if (drained) break;
-  }
-  Restore(params, best);
+    return ValidLoss(valid, valid_encoded);
+  };
+  RunEpochs(loop, &snap, rng, &valid_history_);
 }
 
 Status LstmModel::SaveTo(std::ostream& out) const {

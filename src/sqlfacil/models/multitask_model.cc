@@ -7,7 +7,6 @@
 #include "sqlfacil/models/train_state.h"
 #include "sqlfacil/nn/data_parallel.h"
 #include "sqlfacil/nn/infer.h"
-#include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/thread_pool.h"
 
@@ -26,18 +25,6 @@ void MixMultiTaskDataset(Fingerprint* fp, const MultiTaskDataset& data) {
   for (int l : data.error_labels) fp->MixI32(l);
   for (float t : data.cpu_targets) fp->MixFloat(t);
   for (float t : data.answer_targets) fp->MixFloat(t);
-}
-
-std::vector<nn::Tensor> Snapshot(const std::vector<nn::Var>& params) {
-  std::vector<nn::Tensor> out;
-  out.reserve(params.size());
-  for (const auto& p : params) out.push_back(p->value);
-  return out;
-}
-
-void Restore(const std::vector<nn::Var>& params,
-             const std::vector<nn::Tensor>& snapshot) {
-  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
 }
 
 }  // namespace
@@ -157,13 +144,8 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
            HasTarget(train.answer_targets[idx]);
   };
 
-  std::vector<nn::Tensor> best = Snapshot(params);
-  double best_valid = 1e300;
-  valid_history_.clear();
   const size_t n = train.size();
-  const size_t batches_per_epoch =
-      (n + static_cast<size_t>(config_.batch_size) - 1) /
-      static_cast<size_t>(config_.batch_size);
+  const size_t batch_size = static_cast<size_t>(config_.batch_size);
 
   Fingerprint fp;
   fp.MixString("multitask_model.v1");
@@ -185,105 +167,73 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
   MixMultiTaskDataset(&fp, valid);
   fp.MixRngState(entry_state);
   TrainSnapshotter snap(config_.snapshot, "mtcnn", fp.digest());
-  const ResumePoint at =
-      ResumeOrColdStart(&snap, config_.epochs, batches_per_epoch, params,
-                        &optimizer, rng, &best, &best_valid, &valid_history_);
 
+  EpochLoop loop;
+  loop.params = params;
+  loop.optimizer = &optimizer;
+  loop.epochs = config_.epochs;
+  loop.batches_per_epoch = (n + batch_size - 1) / batch_size;
+  loop.has_valid = valid.size() > 0;
+  std::vector<size_t> perm;
   std::vector<uint64_t> dropout_seeds;
-  for (int epoch = at.epoch; epoch < config_.epochs; ++epoch) {
-    const Rng::State epoch_rng = rng->state();
-    auto perm = rng->Permutation(n);
-    const uint64_t skip = epoch == at.epoch ? at.batch : 0;
-    // Drains the run after the batch position `next_cursor - 1` completed
-    // (applied or skipped-as-unlabeled — the cursor counts positions, so
-    // resume replays the same seed draws either way).
-    auto drain_now = [&](uint64_t next_cursor) {
-      SaveTrainSnapshot(&snap, epoch, next_cursor, epoch_rng, best_valid,
-                        valid_history_, params, best, &optimizer);
-      Restore(params, best);
-    };
-    uint64_t bpos = 0;
-    for (size_t start = 0; start < n;
-         start += static_cast<size_t>(config_.batch_size), ++bpos) {
-      const size_t end =
-          std::min(n, start + static_cast<size_t>(config_.batch_size));
-      const size_t batch = end - start;
-      // Seeds are drawn even for replayed / unlabeled batches: the master
-      // stream must pass the same positions an uninterrupted run would.
-      dropout_seeds.resize(batch);
-      for (size_t i = 0; i < batch; ++i) dropout_seeds[i] = rng->Next();
-      if (bpos < skip) continue;  // replayed: applied before the snapshot
-      bool any_loss = false;
-      for (size_t i = start; i < end && !any_loss; ++i) {
-        any_loss = has_any_loss(perm[i]);
-      }
-      if (!any_loss) {  // fully unlabeled batch: no step
-        if (train::DrainRequested()) {
-          drain_now(bpos + 1);
-          return;
-        }
-        continue;
-      }
-      optimizer.ZeroGrad();
-      nn::ShardedTrainStep(
-          params, &shards, batch, max_shards,
-          [&](size_t /*shard*/, size_t sb, size_t se) {
-            nn::Var shard_loss;
-            for (size_t i = sb; i < se; ++i) {
-              const size_t idx = perm[start + i];
-              if (!has_any_loss(idx)) continue;
-              Rng example_rng(dropout_seeds[i]);
-              nn::Var features =
-                  Encode(encoded[idx], /*training=*/true, &example_rng);
-              nn::Var example_loss;
-              auto accumulate = [&](nn::Var task_loss) {
-                example_loss = example_loss == nullptr
-                                   ? task_loss
-                                   : nn::Add(example_loss, task_loss);
-              };
-              if (train.error_labels[idx] >= 0) {
-                accumulate(nn::SoftmaxCrossEntropy(
-                    error_head_.Apply(features), {train.error_labels[idx]}));
-              }
-              if (HasTarget(train.cpu_targets[idx])) {
-                accumulate(nn::HuberLoss(cpu_head_.Apply(features),
-                                         {train.cpu_targets[idx]},
-                                         config_.huber_delta));
-              }
-              if (HasTarget(train.answer_targets[idx])) {
-                accumulate(nn::HuberLoss(answer_head_.Apply(features),
-                                         {train.answer_targets[idx]},
-                                         config_.huber_delta));
-              }
-              shard_loss = shard_loss == nullptr
-                               ? example_loss
-                               : nn::Add(shard_loss, example_loss);
+  loop.begin_epoch = [&](int) {
+    perm = rng->Permutation(n);
+    dropout_seeds.resize(n);
+    for (uint64_t& seed : dropout_seeds) seed = rng->Next();
+  };
+  loop.run_batch = [&](uint64_t bpos) {
+    const size_t start = bpos * batch_size;
+    const size_t end = std::min(n, start + batch_size);
+    const size_t batch = end - start;
+    bool any_loss = false;
+    for (size_t i = start; i < end && !any_loss; ++i) {
+      any_loss = has_any_loss(perm[i]);
+    }
+    if (!any_loss) return;  // fully unlabeled batch: no step
+    optimizer.ZeroGrad();
+    nn::ShardedTrainStep(
+        params, &shards, batch, max_shards,
+        [&](size_t /*shard*/, size_t sb, size_t se) {
+          nn::Var shard_loss;
+          for (size_t i = start + sb; i < start + se; ++i) {
+            const size_t idx = perm[i];
+            if (!has_any_loss(idx)) continue;
+            Rng example_rng(dropout_seeds[i]);
+            nn::Var features =
+                Encode(encoded[idx], /*training=*/true, &example_rng);
+            nn::Var example_loss;
+            auto accumulate = [&](nn::Var task_loss) {
+              example_loss = example_loss == nullptr
+                                 ? task_loss
+                                 : nn::Add(example_loss, task_loss);
+            };
+            if (train.error_labels[idx] >= 0) {
+              accumulate(nn::SoftmaxCrossEntropy(error_head_.Apply(features),
+                                                 {train.error_labels[idx]}));
             }
-            // A shard may hold only unlabeled examples; contribute zero.
-            if (shard_loss == nullptr) return nn::ZerosConst({1, 1});
-            return nn::Scale(shard_loss, 1.0f / static_cast<float>(batch));
-          });
-      nn::ClipGradNorm(params, config_.clip_norm);
-      optimizer.Step();
-      if (train::DrainRequested()) {
-        drain_now(bpos + 1);
-        return;
-      }
-    }
-    const double vloss = ValidLoss(valid);
-    valid_history_.push_back(vloss);
-    if (vloss < best_valid || valid.size() == 0) {
-      best_valid = vloss;
-      best = Snapshot(params);
-    }
-    const bool drained = train::DrainRequested();
-    if (snap.ShouldSnapshot(epoch + 1, config_.epochs) || drained) {
-      SaveTrainSnapshot(&snap, epoch + 1, 0, rng->state(), best_valid,
-                        valid_history_, params, best, &optimizer);
-    }
-    if (drained) break;
-  }
-  Restore(params, best);
+            if (HasTarget(train.cpu_targets[idx])) {
+              accumulate(nn::HuberLoss(cpu_head_.Apply(features),
+                                       {train.cpu_targets[idx]},
+                                       config_.huber_delta));
+            }
+            if (HasTarget(train.answer_targets[idx])) {
+              accumulate(nn::HuberLoss(answer_head_.Apply(features),
+                                       {train.answer_targets[idx]},
+                                       config_.huber_delta));
+            }
+            shard_loss = shard_loss == nullptr
+                             ? example_loss
+                             : nn::Add(shard_loss, example_loss);
+          }
+          // A shard may hold only unlabeled examples; contribute zero.
+          if (shard_loss == nullptr) return nn::ZerosConst({1, 1});
+          return nn::Scale(shard_loss, 1.0f / static_cast<float>(batch));
+        });
+    nn::ClipGradNorm(params, config_.clip_norm);
+    optimizer.Step();
+  };
+  loop.valid_loss = [&] { return ValidLoss(valid); };
+  RunEpochs(loop, &snap, rng, &valid_history_);
 }
 
 Status MultiTaskCnnModel::SaveTo(std::ostream& out) const {

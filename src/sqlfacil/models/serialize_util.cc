@@ -86,7 +86,7 @@ StatusOr<std::string> ReadString(std::istream& in) {
   return str;
 }
 
-void WriteFloats(std::ostream& out, const std::vector<float>& v) {
+void WriteFloats(std::ostream& out, std::span<const float> v) {
   WriteU64(out, v.size());
   out.write(reinterpret_cast<const char*>(v.data()),
             static_cast<std::streamsize>(v.size() * sizeof(float)));

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +44,7 @@ StatusOr<double> ReadF64(std::istream& in);
 void WriteString(std::ostream& out, const std::string& s);
 StatusOr<std::string> ReadString(std::istream& in);
 
-void WriteFloats(std::ostream& out, const std::vector<float>& v);
+void WriteFloats(std::ostream& out, std::span<const float> v);
 StatusOr<std::vector<float>> ReadFloats(std::istream& in);
 
 void WriteTensor(std::ostream& out, const nn::Tensor& t);

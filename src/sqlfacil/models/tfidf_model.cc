@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/train_state.h"
 #include "sqlfacil/nn/data_parallel.h"
 #include "sqlfacil/nn/infer.h"
-#include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
 #include "sqlfacil/util/thread_pool.h"
@@ -25,9 +23,11 @@ void Softmax(std::vector<float>* scores) {
 
 std::vector<float> TfidfModel::Scores(
     const std::vector<std::pair<int, float>>& features) const {
-  std::vector<float> scores(bias_);
+  const float* bias = bias_->value.data();
+  std::vector<float> scores(bias, bias + outputs_);
+  const float* weights = weights_->value.data();
   for (const auto& [f, x] : features) {
-    const float* row = &weights_[static_cast<size_t>(f) * outputs_];
+    const float* row = weights + static_cast<size_t>(f) * outputs_;
     for (int c = 0; c < outputs_; ++c) scores[c] += row[c] * x;
   }
   return scores;
@@ -47,8 +47,9 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   vec_config.max_features = config_.max_features;
   vectorizer_ = TfidfVectorizer::Fit(train.statements, vec_config);
 
-  weights_.assign(vectorizer_.num_features() * outputs_, 0.0f);
-  bias_.assign(outputs_, 0.0f);
+  const int num_features = static_cast<int>(vectorizer_.num_features());
+  weights_ = nn::MakeParam(nn::Tensor({num_features, outputs_}));
+  bias_ = nn::MakeParam(nn::Tensor({1, outputs_}));
 
   // Precompute sparse features (sharded over the thread pool).
   auto train_features = vectorizer_.TransformAll(train.statements);
@@ -87,10 +88,6 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
     return total / static_cast<double>(n_valid);
   };
 
-  std::vector<float> best_weights = weights_;
-  std::vector<float> best_bias = bias_;
-  double best_valid = 1e300;
-
   // Sharded mini-batch sparse SGD. Each minibatch runs two phases:
   // (1) per-example score gradients compute in parallel from the
   // batch-start weights (shard boundaries depend only on the batch size and
@@ -103,9 +100,7 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
       static_cast<size_t>(std::max(1, config_.batch_size));
   const size_t n = train.size();
   std::vector<float> dscores;
-  valid_history_.clear();
 
-  const size_t batches_per_epoch = (n + batch_size - 1) / batch_size;
   Fingerprint fp;
   fp.MixString("tfidf_model.v1|" + name());
   fp.MixI32(config_.granularity == sql::Granularity::kChar ? 0 : 1)
@@ -122,162 +117,87 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   fp.MixRngState(entry_state);
   TrainSnapshotter snap(config_.snapshot, name(), fp.digest());
 
-  // The linear model has no autograd Vars or optimizer state: snapshots
-  // carry the weight matrix and bias wrapped as two tensors, and an empty
-  // optimizer blob (plain SGD with a closed-form per-epoch rate).
-  const int num_features = static_cast<int>(vectorizer_.num_features());
-  auto wrap = [&](const std::vector<float>& w, const std::vector<float>& b) {
-    std::vector<nn::Tensor> tensors;
-    tensors.emplace_back(std::vector<int>{num_features, outputs_});
-    std::copy(w.begin(), w.end(), tensors[0].data());
-    tensors.emplace_back(std::vector<int>{1, outputs_});
-    std::copy(b.begin(), b.end(), tensors[1].data());
-    return tensors;
+  // Plain SGD with a closed-form per-epoch rate: no optimizer state.
+  EpochLoop loop;
+  loop.params = {weights_, bias_};
+  loop.epochs = config_.epochs;
+  loop.batches_per_epoch = (n + batch_size - 1) / batch_size;
+  loop.has_valid = !valid_features.empty();
+  float epoch_lr = 0.0f;
+  std::vector<size_t> perm;
+  loop.begin_epoch = [&](int epoch) {
+    epoch_lr = config_.lr / (1.0f + 0.5f * static_cast<float>(epoch));
+    perm = rng->Permutation(n);
   };
-  auto shapes_ok = [&](const std::vector<nn::Tensor>& ts) {
-    return ts.size() == 2 &&
-           ts[0].shape() == std::vector<int>{num_features, outputs_} &&
-           ts[1].shape() == std::vector<int>{1, outputs_};
-  };
-  auto save_snapshot = [&](int32_t epoch, uint64_t cursor,
-                           const Rng::State& rng_state) {
-    if (!snap.enabled()) return;
-    TrainState st;
-    st.epoch = epoch;
-    st.batch_cursor = cursor;
-    st.rng = rng_state;
-    st.best_valid = best_valid;
-    st.valid_history = valid_history_;
-    st.params = wrap(weights_, bias_);
-    st.best_params = wrap(best_weights, best_bias);
-    if (Status s = snap.Save(std::move(st)); !s.ok()) {
-      std::cerr << "[sqlfacil] training snapshot save to '" << snap.path()
-                << "' failed: " << s.ToString() << "; continuing\n";
-    }
-  };
-
-  int start_epoch = 0;
-  uint64_t start_batch = 0;
-  if (snap.enabled()) {
-    auto resumed = snap.TryResume(config_.epochs, batches_per_epoch);
-    Status status = resumed.status();
-    if (resumed.ok()) {
-      if (shapes_ok(resumed->params) && shapes_ok(resumed->best_params)) {
-        std::copy_n(resumed->params[0].data(), weights_.size(),
-                    weights_.begin());
-        std::copy_n(resumed->params[1].data(), bias_.size(), bias_.begin());
-        std::copy_n(resumed->best_params[0].data(), best_weights.size(),
-                    best_weights.begin());
-        std::copy_n(resumed->best_params[1].data(), best_bias.size(),
-                    best_bias.begin());
-        best_valid = resumed->best_valid;
-        valid_history_ = std::move(resumed->valid_history);
-        rng->set_state(resumed->rng);
-        start_epoch = resumed->epoch;
-        start_batch = resumed->batch_cursor;
-        status = Status::Ok();
-      } else {
-        status = Status::CorruptCheckpoint(
-            "snapshot tensor shapes do not match the tfidf model");
-      }
-    }
-    if (!status.ok() && status.code() != StatusCode::kNotFound) {
-      std::cerr << "[sqlfacil] training snapshot '" << snap.path()
-                << "' not resumable: " << status.ToString()
-                << "; cold start\n";
-    }
-  }
-
-  for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
-    const float lr =
-        config_.lr / (1.0f + 0.5f * static_cast<float>(epoch));
-    const Rng::State epoch_rng = rng->state();
-    auto perm = rng->Permutation(n);
-    const uint64_t skip = epoch == start_epoch ? start_batch : 0;
-    uint64_t bpos = 0;
-    for (size_t start = 0; start < n; start += batch_size, ++bpos) {
-      if (bpos < skip) continue;  // replayed: applied before the snapshot
-      const size_t end = std::min(n, start + batch_size);
-      const size_t batch = end - start;
-      dscores.assign(batch * static_cast<size_t>(outputs_), 0.0f);
-      const size_t grain = nn::ShardGrain(batch, max_shards);
-      ParallelForChunks(0, batch, grain, [&](size_t, size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) {
-          const size_t idx = perm[start + i];
-          auto scores = Scores(train_features[idx]);
-          float* dscore = &dscores[i * static_cast<size_t>(outputs_)];
-          if (kind_ == TaskKind::kClassification) {
-            Softmax(&scores);
-            // Soft-target cross-entropy has the same gradient form with the
-            // one-hot indicator replaced by the teacher distribution.
-            const bool soft = train.soft_labels.size() == n;
-            const float* t = soft ? train.soft_labels[idx].data() : nullptr;
-            for (int c = 0; c < outputs_; ++c) {
-              const float target =
-                  soft ? t[c] : (c == train.labels[idx] ? 1.0f : 0.0f);
-              dscore[c] = scores[c] - target;
-            }
-          } else {
-            const float r = scores[0] - train.targets[idx];
-            dscore[0] = std::fabs(r) <= config_.huber_delta
-                            ? r
-                            : (r > 0 ? config_.huber_delta
-                                     : -config_.huber_delta);
-          }
-          // Batch-mean normalization: every gradient in the batch was taken
-          // at the same (batch-start) weights, so applying their sum at the
-          // per-example rate would overshoot; the mean keeps the linear
-          // region contractive at any batch size.
-          for (int c = 0; c < outputs_; ++c) {
-            dscore[c] /= static_cast<float>(batch);
-          }
-        }
-      });
-      // Ordered merge: sparse updates apply in example order (weight decay
-      // on touched rows only, reading the live row as before).
-      for (size_t i = 0; i < batch; ++i) {
+  loop.run_batch = [&](uint64_t bpos) {
+    const size_t start = bpos * batch_size;
+    const size_t end = std::min(n, start + batch_size);
+    const size_t batch = end - start;
+    dscores.assign(batch * static_cast<size_t>(outputs_), 0.0f);
+    const size_t grain = nn::ShardGrain(batch, max_shards);
+    ParallelForChunks(0, batch, grain, [&](size_t, size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) {
         const size_t idx = perm[start + i];
-        const float* dscore = &dscores[i * static_cast<size_t>(outputs_)];
-        for (const auto& [f, x] : train_features[idx]) {
-          float* row = &weights_[static_cast<size_t>(f) * outputs_];
+        auto scores = Scores(train_features[idx]);
+        float* dscore = &dscores[i * static_cast<size_t>(outputs_)];
+        if (kind_ == TaskKind::kClassification) {
+          Softmax(&scores);
+          // Soft-target cross-entropy has the same gradient form with the
+          // one-hot indicator replaced by the teacher distribution.
+          const bool soft = train.soft_labels.size() == n;
+          const float* t = soft ? train.soft_labels[idx].data() : nullptr;
           for (int c = 0; c < outputs_; ++c) {
-            row[c] -= lr * (dscore[c] * x + config_.weight_decay * row[c]);
+            const float target =
+                soft ? t[c] : (c == train.labels[idx] ? 1.0f : 0.0f);
+            dscore[c] = scores[c] - target;
           }
+        } else {
+          const float r = scores[0] - train.targets[idx];
+          dscore[0] = std::fabs(r) <= config_.huber_delta
+                          ? r
+                          : (r > 0 ? config_.huber_delta
+                                   : -config_.huber_delta);
         }
-        for (int c = 0; c < outputs_; ++c) bias_[c] -= lr * dscore[c];
+        // Batch-mean normalization: every gradient in the batch was taken
+        // at the same (batch-start) weights, so applying their sum at the
+        // per-example rate would overshoot; the mean keeps the linear
+        // region contractive at any batch size.
+        for (int c = 0; c < outputs_; ++c) {
+          dscore[c] /= static_cast<float>(batch);
+        }
       }
-      if (train::DrainRequested()) {
-        // Graceful drain: this batch's serial merge completed; record the
-        // mid-epoch position and stop.
-        save_snapshot(epoch, bpos + 1, epoch_rng);
-        weights_ = std::move(best_weights);
-        bias_ = std::move(best_bias);
-        return;
+    });
+    // Ordered merge: sparse updates apply in example order (weight decay
+    // on touched rows only, reading the live row as before). The rate, the
+    // decay and the weight pointers are locals: a float read through a
+    // reference or a member may alias every `row[c]` store, and would be
+    // reloaded for each element.
+    const float lr = epoch_lr;
+    const float decay = config_.weight_decay;
+    float* const weights = weights_->value.data();
+    float* const bias = bias_->value.data();
+    for (size_t i = 0; i < batch; ++i) {
+      const size_t idx = perm[start + i];
+      const float* dscore = &dscores[i * static_cast<size_t>(outputs_)];
+      for (const auto& [f, x] : train_features[idx]) {
+        float* row = weights + static_cast<size_t>(f) * outputs_;
+        for (int c = 0; c < outputs_; ++c) {
+          row[c] -= lr * (dscore[c] * x + decay * row[c]);
+        }
       }
+      for (int c = 0; c < outputs_; ++c) bias[c] -= lr * dscore[c];
     }
-    const double vloss = valid_loss();
-    valid_history_.push_back(vloss);
-    if (vloss < best_valid || valid_features.empty()) {
-      best_valid = vloss;
-      best_weights = weights_;
-      best_bias = bias_;
-    }
-    const bool drained = train::DrainRequested();
-    if (snap.ShouldSnapshot(epoch + 1, config_.epochs) || drained) {
-      save_snapshot(epoch + 1, 0, rng->state());
-    }
-    if (drained) break;
-  }
-  weights_ = std::move(best_weights);
-  bias_ = std::move(best_bias);
+  };
+  loop.valid_loss = valid_loss;
+  RunEpochs(loop, &snap, rng, &valid_history_);
 }
 
 std::vector<float> TfidfModel::Predict(const std::string& statement,
                                        double opt_cost) const {
-  (void)opt_cost;
-  auto scores = Scores(vectorizer_.Transform(statement));
-  if (kind_ == TaskKind::kClassification) Softmax(&scores);
-  return scores;
+  // A batch of one, so Predict meets the same failpoint and the same
+  // featurization as PredictBatch.
+  return PredictBatch(std::span<const std::string>(&statement, 1),
+                      std::span<const double>(&opt_cost, 1))[0];
 }
 
 std::vector<std::vector<float>> TfidfModel::PredictBatch(
@@ -303,8 +223,9 @@ Status TfidfModel::SaveTo(std::ostream& out) const {
   serialize::WriteI32(out, kind_ == TaskKind::kClassification ? 0 : 1);
   serialize::WriteI32(out, outputs_);
   vectorizer_.SaveTo(out);
-  serialize::WriteFloats(out, weights_);
-  serialize::WriteFloats(out, bias_);
+  for (const nn::Var& p : {weights_, bias_}) {
+    serialize::WriteFloats(out, {p->value.data(), p->value.size()});
+  }
   return Status::Ok();
 }
 
@@ -323,14 +244,20 @@ Status TfidfModel::LoadFrom(std::istream& in) {
   vectorizer_ = std::move(vectorizer).value();
   auto weights = serialize::ReadFloats(in);
   if (!weights.ok()) return weights.status();
-  weights_ = std::move(weights).value();
   auto bias = serialize::ReadFloats(in);
   if (!bias.ok()) return bias.status();
-  bias_ = std::move(bias).value();
-  if (weights_.size() != vectorizer_.num_features() * outputs_ ||
-      bias_.size() != static_cast<size_t>(outputs_)) {
+  if (weights->size() != vectorizer_.num_features() * outputs_ ||
+      bias->size() != static_cast<size_t>(outputs_)) {
     return Status::InvalidArgument("tfidf model shape mismatch");
   }
+  auto param = [](const std::vector<float>& values, int rows, int cols) {
+    nn::Tensor t({rows, cols});
+    std::copy(values.begin(), values.end(), t.data());
+    return nn::MakeParam(std::move(t));
+  };
+  weights_ = param(*weights, static_cast<int>(vectorizer_.num_features()),
+                   outputs_);
+  bias_ = param(*bias, 1, outputs_);
   return Status::Ok();
 }
 

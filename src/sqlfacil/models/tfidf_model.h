@@ -44,6 +44,7 @@ class TfidfModel : public Model {
   /// then scoring runs over the precomputed sparse vectors. (The features
   /// are sparse, so there is no dense stacked matmul to win here — the
   /// gain is batching the featurization and skipping per-call overhead.)
+  /// Predict is a batch of one.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -65,8 +66,8 @@ class TfidfModel : public Model {
   TaskKind kind_ = TaskKind::kClassification;
   int outputs_ = 1;
   TfidfVectorizer vectorizer_;
-  std::vector<float> weights_;  // (num_features x outputs), row-major
-  std::vector<float> bias_;     // (outputs)
+  nn::Var weights_;  // (num_features x outputs), row-major
+  nn::Var bias_;     // (1 x outputs)
   std::vector<double> valid_history_;
 };
 

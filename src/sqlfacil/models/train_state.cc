@@ -7,6 +7,7 @@
 
 #include "sqlfacil/models/checkpoint.h"
 #include "sqlfacil/models/serialize_util.h"
+#include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/failpoint.h"
 
 namespace sqlfacil::models {
@@ -319,60 +320,89 @@ Status TrainSnapshotter::Save(TrainState state) {
   return WriteCheckpointFile(path_, payload);
 }
 
-ResumePoint ResumeOrColdStart(TrainSnapshotter* snap, int max_epochs,
-                              uint64_t batches_per_epoch,
-                              const std::vector<nn::Var>& params,
-                              nn::Optimizer* optimizer, Rng* rng,
-                              std::vector<nn::Tensor>* best_params,
-                              double* best_valid,
-                              std::vector<double>* valid_history) {
-  ResumePoint point;
-  if (!snap->enabled()) return point;
-  auto resumed = snap->TryResume(max_epochs, batches_per_epoch);
-  Status status = resumed.status();
-  if (resumed.ok()) {
-    status = InstallTrainState(*resumed, params, optimizer);
-    if (status.ok()) {
-      *best_params = std::move(resumed->best_params);
-      *best_valid = resumed->best_valid;
-      *valid_history = std::move(resumed->valid_history);
-      rng->set_state(resumed->rng);
-      point.epoch = resumed->epoch;
-      point.batch = resumed->batch_cursor;
-      return point;
-    }
-  }
-  if (status.code() != StatusCode::kNotFound) {
-    std::cerr << "[sqlfacil] training snapshot '" << snap->path()
-              << "' not resumable: " << status.ToString()
-              << "; cold start\n";
-  }
-  return point;
-}
-
-void SaveTrainSnapshot(TrainSnapshotter* snap, int32_t epoch,
-                       uint64_t batch_cursor, const Rng::State& rng_state,
-                       double best_valid,
-                       const std::vector<double>& valid_history,
-                       const std::vector<nn::Var>& params,
-                       const std::vector<nn::Tensor>& best_params,
-                       const nn::Optimizer* optimizer) {
-  if (!snap->enabled()) return;
-  Status s = snap->Save(CaptureTrainState(epoch, batch_cursor, rng_state,
-                                          best_valid, valid_history, params,
-                                          best_params, optimizer));
-  if (!s.ok()) {
-    std::cerr << "[sqlfacil] training snapshot save to '" << snap->path()
-              << "' failed: " << s.ToString() << "; continuing\n";
-  }
-}
-
 bool TrainSnapshotter::ShouldSnapshot(int completed_epochs,
                                       int total_epochs) const {
   if (!enabled()) return false;
   if (completed_epochs >= total_epochs) return true;
   const int every = options_.every >= 1 ? options_.every : 1;
   return completed_epochs % every == 0;
+}
+
+void RunEpochs(const EpochLoop& loop, TrainSnapshotter* snap, Rng* rng,
+               std::vector<double>* valid_history) {
+  std::vector<nn::Tensor> best;
+  best.reserve(loop.params.size());
+  for (const auto& p : loop.params) best.push_back(p->value);
+  double best_valid = 1e300;
+  valid_history->clear();
+  int start_epoch = 0;
+  uint64_t start_batch = 0;
+  if (snap->enabled()) {
+    auto resumed = snap->TryResume(loop.epochs, loop.batches_per_epoch);
+    Status status = resumed.status();
+    if (resumed.ok()) {
+      status = InstallTrainState(*resumed, loop.params, loop.optimizer);
+      if (status.ok()) {
+        best = std::move(resumed->best_params);
+        best_valid = resumed->best_valid;
+        *valid_history = std::move(resumed->valid_history);
+        rng->set_state(resumed->rng);
+        start_epoch = resumed->epoch;
+        start_batch = resumed->batch_cursor;
+      }
+    }
+    if (!status.ok() && status.code() != StatusCode::kNotFound) {
+      std::cerr << "[sqlfacil] training snapshot '" << snap->path()
+                << "' not resumable: " << status.ToString()
+                << "; cold start\n";
+    }
+  }
+  // A snapshot's cursor counts the batches of `epoch` already applied, and
+  // its RNG state is the one `epoch` began from.
+  auto save = [&](int32_t epoch, uint64_t cursor, const Rng::State& at) {
+    if (!snap->enabled()) return;
+    Status s = snap->Save(CaptureTrainState(epoch, cursor, at, best_valid,
+                                            *valid_history, loop.params, best,
+                                            loop.optimizer));
+    if (!s.ok()) {
+      std::cerr << "[sqlfacil] training snapshot save to '" << snap->path()
+                << "' failed: " << s.ToString() << "; continuing\n";
+    }
+  };
+  auto restore_best = [&] {
+    for (size_t i = 0; i < loop.params.size(); ++i) {
+      loop.params[i]->value.CopyFrom(best[i]);
+    }
+  };
+
+  for (int epoch = start_epoch; epoch < loop.epochs; ++epoch) {
+    const Rng::State epoch_rng = rng->state();
+    loop.begin_epoch(epoch);
+    for (uint64_t b = epoch == start_epoch ? start_batch : 0;
+         b < loop.batches_per_epoch; ++b) {
+      loop.run_batch(b);
+      if (train::DrainRequested()) {
+        // Graceful drain: the batch just applied is recorded as done.
+        save(epoch, b + 1, epoch_rng);
+        restore_best();
+        return;
+      }
+    }
+    const double vloss = loop.valid_loss();
+    valid_history->push_back(vloss);
+    if (vloss < best_valid || !loop.has_valid) {
+      best_valid = vloss;
+      for (size_t i = 0; i < best.size(); ++i) {
+        best[i].CopyFrom(loop.params[i]->value);
+      }
+    }
+    const bool drained = train::DrainRequested();
+    if (snap->ShouldSnapshot(epoch + 1, loop.epochs) || drained) {
+      save(epoch + 1, 0, rng->state());
+    }
+    if (drained) break;
+  }
+  restore_best();
 }
 
 }  // namespace sqlfacil::models

@@ -2,6 +2,7 @@
 #define SQLFACIL_MODELS_TRAIN_STATE_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -27,13 +28,15 @@ namespace sqlfacil::models {
 /// rename saves, so a SIGKILL at any instant leaves either the previous
 /// snapshot or the new one — never a torn file.
 ///
-/// Determinism: the RNG state is captured at epoch START. On resume the
-/// trainer restores it, re-draws the epoch permutation (and any per-batch
-/// seeds) exactly as the original run did, and replays — without applying
-/// — the first `batch_cursor` batches. The draw stream therefore lands at
-/// the exact position the interrupted run had reached, and the resumed
-/// run's weights and ValidLoss trajectory are bit-identical to an
-/// uninterrupted run at any SQLFACIL_THREADS × SQLFACIL_SIMD setting.
+/// Determinism: the RNG state is captured at epoch START, and a trainer
+/// makes every draw of an epoch (the permutation, then any per-example
+/// seeds) before the epoch's first batch. On resume `RunEpochs` restores
+/// that state, the trainer re-draws the whole epoch exactly as the original
+/// run did, and the driver skips the first `batch_cursor` batches, which
+/// were applied before the snapshot. The draw stream therefore stands where
+/// the interrupted run's did, and the resumed run's weights and ValidLoss
+/// trajectory are bit-identical to an uninterrupted run at any
+/// SQLFACIL_THREADS × SQLFACIL_SIMD setting.
 
 /// Where / how often a trainer snapshots. Embedded in each model's Config.
 struct SnapshotOptions {
@@ -153,36 +156,33 @@ class TrainSnapshotter {
   uint64_t generation_ = 0;
 };
 
-/// Where a training loop (re)starts: epoch `epoch`, skipping the first
-/// `batch` batches of that epoch (they were applied before the snapshot).
-struct ResumePoint {
-  int epoch = 0;
-  uint64_t batch = 0;
+/// One training run's epoch schedule. A trainer supplies its parameters
+/// and three hooks; `RunEpochs` owns the rest.
+struct EpochLoop {
+  std::vector<nn::Var> params;         ///< Snapshotted and best-epoch copied.
+  nn::Optimizer* optimizer = nullptr;  ///< Null: no optimizer state.
+  int epochs = 0;
+  uint64_t batches_per_epoch = 0;
+  bool has_valid = true;  ///< False: every epoch counts as the best.
+  /// Makes every RNG draw of `epoch`, skipped batches' draws included.
+  std::function<void(int epoch)> begin_epoch;
+  /// Applies batch `batch` of the current epoch.
+  std::function<void(uint64_t batch)> run_batch;
+  /// Scores the current parameters on the validation split.
+  std::function<double()> valid_loss;
 };
 
-/// One-call resume for the autograd trainers: TryResume + InstallTrainState
-/// + adoption of best params / best ValidLoss / history / RNG position.
-/// Any failure other than kNotFound (no snapshot) is logged to stderr and
-/// degrades to a cold start — resume is never fatal and never silently
-/// divergent.
-ResumePoint ResumeOrColdStart(TrainSnapshotter* snap, int max_epochs,
-                              uint64_t batches_per_epoch,
-                              const std::vector<nn::Var>& params,
-                              nn::Optimizer* optimizer, Rng* rng,
-                              std::vector<nn::Tensor>* best_params,
-                              double* best_valid,
-                              std::vector<double>* valid_history);
-
-/// Captures and writes a snapshot. A failed save is logged to stderr and
-/// swallowed: durability is best-effort, the training run itself must not
-/// fail because a snapshot could not be written.
-void SaveTrainSnapshot(TrainSnapshotter* snap, int32_t epoch,
-                       uint64_t batch_cursor, const Rng::State& rng_state,
-                       double best_valid,
-                       const std::vector<double>& valid_history,
-                       const std::vector<nn::Var>& params,
-                       const std::vector<nn::Tensor>& best_params,
-                       const nn::Optimizer* optimizer);
+/// Runs `loop` to the end of its schedule, or until a drain. Cold-starts,
+/// or resumes from `snap` (any failure other than kNotFound is logged and
+/// degrades to a cold start: resume is never fatal and never silently
+/// divergent). Captures the RNG at each epoch start, skips the batches a
+/// resumed snapshot already applied, checks `train::DrainRequested()`
+/// after every batch and every epoch, appends each epoch's ValidLoss to
+/// `*valid_history`, snapshots on `snap`'s schedule (a failed save is
+/// logged and training goes on), and on every return leaves `params` at
+/// the best epoch's values.
+void RunEpochs(const EpochLoop& loop, TrainSnapshotter* snap, Rng* rng,
+               std::vector<double>* valid_history);
 
 }  // namespace sqlfacil::models
 

@@ -5,11 +5,11 @@ namespace sqlfacil {
 namespace train {
 
 /// Graceful-drain support for training loops. A SIGTERM/SIGINT does not kill
-/// the process mid-step: the handler only flips an atomic flag, and each
-/// trainer polls `DrainRequested()` after every *completed* sharded step. On
-/// a drain the trainer writes a mid-epoch snapshot (when snapshotting is
-/// enabled) and returns early, so the in-flight step is never torn and the
-/// next run resumes bit-identically.
+/// the process mid-step: the handler only flips an atomic flag, and the
+/// trainers' epoch driver (`models::RunEpochs`) polls `DrainRequested()`
+/// after every *completed* batch. On a drain it writes a mid-epoch snapshot
+/// (when snapshotting is enabled) and returns early, so the in-flight step
+/// is never torn and the next run resumes bit-identically.
 
 /// Installs the SIGTERM/SIGINT handlers (idempotent; SA_RESTART so blocking
 /// syscalls in worker threads are not interrupted). Call once near process

@@ -25,7 +25,7 @@ struct SqlShareWorkloadConfig {
   /// median 16 s (Figure 6e) vs SDSS's median 0. A larger seconds-per-unit
   /// constant reproduces that scale (and keeps qerror, which is computed
   /// in seconds, meaningful).
-  LabelerConfig labeler{.seconds_per_cost_unit = 1e-3};
+  LabelerConfig labeler{.seconds_per_cost_unit = 1e-3, .exec_options = {}};
   double cpu_noise_sigma = 0.25;
 };
 

@@ -159,9 +159,14 @@ TEST(FailpointTest, PredictFailsLikePredictBatchOnEveryTier) {
   lstm_config.num_layers = 1;
   lstm_config.epochs = 1;
   models::LstmModel lstm(lstm_config);
+  models::TfidfModel::Config tfidf_config;
+  tfidf_config.max_features = 512;
+  tfidf_config.epochs = 1;
+  models::TfidfModel tfidf(tfidf_config);
   Rng rng(7);
   cnn.Fit(train, train, &rng);
   lstm.Fit(train, train, &rng);
+  tfidf.Fit(train, train, &rng);
   const std::vector<std::string> one = {train.statements[0]};
   for (bool int8 : {false, true}) {
     if (int8) {
@@ -170,8 +175,9 @@ TEST(FailpointTest, PredictFailsLikePredictBatchOnEveryTier) {
     }
     ASSERT_EQ(cnn.quantized(), int8);
     ASSERT_EQ(lstm.quantized(), int8);
-    for (const models::Model* model :
-         std::initializer_list<const models::Model*>{&cnn, &lstm}) {
+    std::vector<const models::Model*> models = {&cnn, &lstm};
+    if (!int8) models.push_back(&tfidf);  // ctfidf has no int8 tier
+    for (const models::Model* model : models) {
       const std::string where = model->name() + (int8 ? " int8" : " fp32");
       failpoint::ScopedFailpoints fp("model.predict:throw");
       EXPECT_THROW(model->PredictBatch(one), failpoint::FailpointError)

@@ -118,22 +118,17 @@ std::string FreshDir(const std::string& name) {
 // --- Interrupt/resume bit-identity per family ------------------------------
 
 // Trains to completion through a gauntlet of single-step runs: the drain
-// flag is raised BEFORE each Fit, so every run applies exactly one batch
-// (or finalizes one epoch), snapshots, and returns — the harshest possible
-// interruption schedule, every interrupt point is hit. The final clean run
-// must produce weights and a ValidLoss trajectory bit-identical to one
-// uninterrupted Fit.
-template <typename Model, typename Config>
-void StepwiseResumeBitIdentical(Config config, const std::string& tag) {
+// flag is raised BEFORE each `run(&model)` (a Fit or FineTune from a fresh
+// Rng), so every run applies exactly one batch (or finalizes one epoch),
+// snapshots, and returns — the harshest possible interruption schedule,
+// every interrupt point is hit. The final clean run must produce weights
+// and a ValidLoss trajectory bit-identical to one uninterrupted run.
+template <typename Model, typename Config, typename Run>
+void StepwiseResumeBitIdentical(Config config, const std::string& tag,
+                                const Run& run) {
   DrainGuard drain_guard;
-  const Dataset train_set = SyntheticClassification(18, 201);
-  const Dataset valid_set = SyntheticClassification(6, 202);
-
   Model reference(config);  // snapshots off: config.snapshot.dir is empty
-  {
-    Rng rng(7);
-    reference.Fit(train_set, valid_set, &rng);
-  }
+  run(&reference);
 
   config.snapshot.dir = FreshDir(tag);
   config.snapshot.every = 1;
@@ -141,15 +136,11 @@ void StepwiseResumeBitIdentical(Config config, const std::string& tag) {
     train::ClearDrain();
     train::RequestDrain();
     Model step(config);
-    Rng rng(7);
-    step.Fit(train_set, valid_set, &rng);
+    run(&step);
   }
   train::ClearDrain();
   Model resumed(config);
-  {
-    Rng rng(7);
-    resumed.Fit(train_set, valid_set, &rng);
-  }
+  run(&resumed);
 
   EXPECT_EQ(Bytes(reference), Bytes(resumed))
       << tag << ": weights diverged after step-wise interruption";
@@ -158,6 +149,40 @@ void StepwiseResumeBitIdentical(Config config, const std::string& tag) {
     EXPECT_EQ(reference.valid_history()[e], resumed.valid_history()[e])
         << tag << ": ValidLoss diverged at epoch " << e;
   }
+}
+
+template <typename Model, typename Data>
+auto FitFrom(const Data& train_set, const Data& valid_set) {
+  return [&train_set, &valid_set](Model* model) {
+    Rng rng(7);
+    model->Fit(train_set, valid_set, &rng);
+  };
+}
+
+// With no validation split every epoch counts as the best, so a fit keeps
+// its last epoch: two epochs end on other weights than one, and each
+// epoch's ValidLoss reads 0.
+template <typename Model, typename Config, typename Data>
+void EmptyValidKeepsLastEpoch(Config config, const Data& train_set) {
+  const Data no_valid;
+  std::string bytes[2];
+  for (int epochs : {1, 2}) {
+    config.epochs = epochs;
+    Model model(config);
+    FitFrom<Model>(train_set, no_valid)(&model);
+    bytes[epochs - 1] = Bytes(model);
+    EXPECT_EQ(model.valid_history(), std::vector<double>(epochs, 0.0));
+  }
+  EXPECT_NE(bytes[0], bytes[1]) << "the last epoch was not kept";
+}
+
+template <typename Model, typename Config>
+void StepwiseResumeBitIdentical(const Config& config, const std::string& tag) {
+  const Dataset train_set = SyntheticClassification(18, 201);
+  const Dataset valid_set = SyntheticClassification(6, 202);
+  StepwiseResumeBitIdentical<Model>(config, tag,
+                                    FitFrom<Model>(train_set, valid_set));
+  EmptyValidKeepsLastEpoch<Model>(config, train_set);
 }
 
 TEST(ResumeTest, TfidfStepwiseResumeBitIdentical) {
@@ -178,6 +203,26 @@ TEST(ResumeTest, CnnStepwiseResumeBitIdentical) {
   config.epochs = 2;
   config.batch_size = 6;
   StepwiseResumeBitIdentical<models::CnnModel>(config, "cnn");
+
+  // FineTune runs the same loop from a fitted network: fit once without
+  // snapshots, then fine-tune for 2 epochs on a second dataset.
+  std::string fitted;
+  {
+    models::CnnModel base(config);
+    Rng rng(7);
+    base.Fit(SyntheticClassification(18, 201), SyntheticClassification(6, 202),
+             &rng);
+    fitted = Bytes(base);
+  }
+  const Dataset tune_train = SyntheticClassification(18, 211);
+  const Dataset tune_valid = SyntheticClassification(6, 212);
+  StepwiseResumeBitIdentical<models::CnnModel>(
+      config, "cnn_finetune", [&](models::CnnModel* model) {
+        std::istringstream in(fitted);
+        ASSERT_TRUE(model->LoadFrom(in).ok());
+        Rng rng(9);
+        model->FineTune(tune_train, tune_valid, /*epochs=*/2, &rng);
+      });
 }
 
 TEST(ResumeTest, LstmStepwiseResumeBitIdentical) {
@@ -192,13 +237,19 @@ TEST(ResumeTest, LstmStepwiseResumeBitIdentical) {
 }
 
 TEST(ResumeTest, MultitaskStepwiseResumeBitIdentical) {
-  DrainGuard drain_guard;
   MultiTaskDataset train_set = SyntheticMultiTask(18, 203);
   const MultiTaskDataset valid_set = SyntheticMultiTask(6, 204);
+  auto unlabel = [](MultiTaskDataset* data, size_t i) {
+    data->error_labels[i] = -1;
+    data->cpu_targets[i] = std::nanf("");
+    data->answer_targets[i] = std::nanf("");
+  };
   // Unlabeled rows exercise the no-loss batch path's cursor accounting.
-  train_set.error_labels[2] = -1;
-  train_set.cpu_targets[2] = std::nanf("");
-  train_set.answer_targets[2] = std::nanf("");
+  unlabel(&train_set, 2);
+  // Only 2 of 18 rows labeled: every epoch (3 batches of 6) has a fully
+  // unlabeled batch, which takes no step.
+  MultiTaskDataset sparse = train_set;
+  for (size_t i = 2; i < sparse.size(); ++i) unlabel(&sparse, i);
 
   models::MultiTaskCnnModel::Config config;
   config.embed_dim = 4;
@@ -206,34 +257,12 @@ TEST(ResumeTest, MultitaskStepwiseResumeBitIdentical) {
   config.widths = {2, 3};
   config.epochs = 2;
   config.batch_size = 6;
-
-  models::MultiTaskCnnModel reference(config);
-  {
-    Rng rng(7);
-    reference.Fit(train_set, valid_set, &rng);
-  }
-
-  config.snapshot.dir = FreshDir("mtcnn");
-  config.snapshot.every = 1;
-  for (int i = 0; i < 40; ++i) {
-    train::ClearDrain();
-    train::RequestDrain();
-    models::MultiTaskCnnModel step(config);
-    Rng rng(7);
-    step.Fit(train_set, valid_set, &rng);
-  }
-  train::ClearDrain();
-  models::MultiTaskCnnModel resumed(config);
-  {
-    Rng rng(7);
-    resumed.Fit(train_set, valid_set, &rng);
-  }
-
-  EXPECT_EQ(Bytes(reference), Bytes(resumed));
-  ASSERT_EQ(reference.valid_history().size(), resumed.valid_history().size());
-  for (size_t e = 0; e < reference.valid_history().size(); ++e) {
-    EXPECT_EQ(reference.valid_history()[e], resumed.valid_history()[e]);
-  }
+  using models::MultiTaskCnnModel;
+  StepwiseResumeBitIdentical<MultiTaskCnnModel>(
+      config, "mtcnn", FitFrom<MultiTaskCnnModel>(train_set, valid_set));
+  StepwiseResumeBitIdentical<MultiTaskCnnModel>(
+      config, "mtcnn_sparse", FitFrom<MultiTaskCnnModel>(sparse, valid_set));
+  EmptyValidKeepsLastEpoch<MultiTaskCnnModel>(config, train_set);
 }
 
 // A snapshot taken at 8 threads must resume bit-identically at 1 thread
