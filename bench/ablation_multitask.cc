@@ -102,10 +102,11 @@ int main() {
                                    .count();
 
   // Evaluate the multi-task model per task.
+  const auto preds = multi.PredictBatch(error_task.test.statements);
   size_t correct = 0;
   double cpu_se = 0.0, answer_se = 0.0;
   for (size_t i = 0; i < error_task.test.size(); ++i) {
-    const auto pred = multi.Predict(error_task.test.statements[i]);
+    const auto& pred = preds[i];
     const int argmax = static_cast<int>(
         std::max_element(pred.error_probs.begin(), pred.error_probs.end()) -
         pred.error_probs.begin());

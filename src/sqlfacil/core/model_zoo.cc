@@ -45,7 +45,6 @@ models::ModelPtr MakeModel(const std::string& name, const ZooConfig& config) {
     c.max_features = config.tfidf_max_features;
     c.epochs = std::max(4, config.epochs * 2);  // cheap epochs
     c.batch_size = config.batch_size;
-    c.train_shards = config.train_shards;
     c.snapshot = ResolveSnapshot(config);
     return std::make_unique<models::TfidfModel>(c);
   }

@@ -3,23 +3,18 @@
 
 #include <cstdint>
 
+#include "sqlfacil/models/cnn_trunk.h"
 #include "sqlfacil/models/model.h"
 #include "sqlfacil/models/train_state.h"
-#include "sqlfacil/models/vocab.h"
 #include "sqlfacil/nn/layers.h"
-#include "sqlfacil/nn/optim.h"
-#include "sqlfacil/nn/quant.h"
-
-namespace sqlfacil::nn {
-class Arena;
-}  // namespace sqlfacil::nn
 
 namespace sqlfacil::models {
 
 /// The shallow CNN of Section 5.3 (Figure 11, adapted from Kim [32]):
 /// token embeddings, parallel 1-D convolutions with window sizes {3,4,5},
-/// Relu, max-over-time pooling per kernel, concatenation, dropout, and a
-/// fully-connected output. Trained with AdaMax on cross-entropy / Huber.
+/// Relu, max-over-time pooling per kernel, concatenation, dropout (the
+/// CnnTrunk), and a fully-connected output. Trained with AdaMax on
+/// cross-entropy / Huber.
 class CnnModel : public Model {
  public:
   struct Config {
@@ -63,16 +58,14 @@ class CnnModel : public Model {
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
-  size_t vocab_size() const override { return vocab_.size(); }
+  size_t vocab_size() const override { return trunk_.vocab_size(); }
   size_t num_parameters() const override;
-  /// Builds the int8 tier: the embedding table quantizes to u8 under its own
-  /// max-abs range (the conv inputs ARE table rows, so the range is static —
-  /// `calibration` is accepted for interface parity but unused) and each
-  /// width's conv map quantizes per-tensor. Relu, max-over-time pooling, and
-  /// the head stay fp32. Fit/FineTune drop the tier.
+  /// Builds the trunk's int8 tier (CnnTrunk::Quantize; its input ranges
+  /// are static, so `calibration` is accepted for interface parity but
+  /// unused). The head stays fp32. Fit/FineTune drop the tier.
   Status Quantize(std::span<const std::string> calibration) override;
   /// True when the int8 tier is built, i.e. when Predict serves int8.
-  bool quantized() const { return quant_.ready(); }
+  bool quantized() const { return trunk_.quantized(); }
   /// Validation-loss trajectory of the last Fit/FineTune (one per epoch).
   const std::vector<double>& valid_history() const { return valid_history_; }
   Status SaveTo(std::ostream& out) const override;
@@ -87,15 +80,6 @@ class CnnModel : public Model {
                 Rng* rng);
 
  private:
-  /// The int8 tier's offline-quantized state (see Quantize()).
-  struct CnnQuant {
-    float emb_scale = 0.0f;        // u8 scale of the embedding rows
-    std::vector<uint8_t> qtable;   // (vocab x d) quantized embedding
-    std::vector<nn::quant::QuantizedTensor> convs;  // per width (w*d x K)
-
-    bool ready() const { return !convs.empty(); }
-  };
-
   /// Shared training loop (from-scratch fit and fine-tuning).
   void TrainLoop(const Dataset& train, const Dataset& valid, int epochs,
                  Rng* rng);
@@ -105,33 +89,20 @@ class CnnModel : public Model {
                ? config_.max_len_char
                : config_.max_len_word;
   }
-  /// Training-step forward (autograd, dropout on) for one padded statement.
-  nn::Var Forward(const std::vector<int>& ids, Rng* rng) const;
-  /// Encodes statements, each padded with -1 (a zero embedding row) to the
-  /// widest conv window.
-  std::vector<std::vector<int>> EncodePadded(
-      std::span<const std::string> statements) const;
-  /// The graph-free forward of encoded[qb..qe) up to the logits, returned
-  /// as a (slice x outputs_) row-major block in `arena`. The int8 tier
-  /// (quant_ must be ready) gathers and unfolds u8 rows and runs quantized
-  /// conv matmuls; Relu, max-over-time pooling and the head run fp32 on
-  /// both tiers.
-  const float* SliceLogits(const std::vector<std::vector<int>>& encoded,
-                           size_t qb, size_t qe, bool int8,
-                           nn::Arena* arena) const;
+  CnnTrunk::Shape TrunkShape() const {
+    return {config_.granularity, MaxLen(), config_.embed_dim,
+            config_.kernels_per_width, config_.widths};
+  }
   std::vector<nn::Var> Params() const;
-  /// Mean validation loss from SliceLogits on the fp32 tier.
+  /// Mean validation loss from the graph-free forward on the fp32 tier.
   double ValidLoss(const Dataset& valid) const;
 
   Config config_;
   TaskKind kind_ = TaskKind::kClassification;
   int outputs_ = 1;
-  Vocabulary vocab_;
-  nn::Embedding embedding_;
-  std::vector<nn::Linear> convs_;  // one (width*d x K) map per width
+  CnnTrunk trunk_;
   nn::Linear head_;
   std::vector<double> valid_history_;
-  CnnQuant quant_;
 };
 
 }  // namespace sqlfacil::models

@@ -19,13 +19,6 @@ struct Dataset {
   std::vector<int> labels;      // classification
   std::vector<float> targets;   // regression (already log-transformed)
   std::vector<double> opt_costs;
-  /// Optional per-example target distributions for distillation (Hinton-style
-  /// soft labels). When non-empty it has one row of `num_classes` floats per
-  /// statement (each summing to 1) and classification trainers minimize
-  /// soft-target cross-entropy against these rows instead of the hard labels.
-  /// `labels` must still be populated — validation and accuracy always score
-  /// against the hard labels.
-  std::vector<std::vector<float>> soft_labels;
 
   size_t size() const { return statements.size(); }
 };

@@ -8,7 +8,6 @@
 #include "sqlfacil/nn/data_parallel.h"
 #include "sqlfacil/nn/infer.h"
 #include "sqlfacil/util/logging.h"
-#include "sqlfacil/util/thread_pool.h"
 
 namespace sqlfacil::models {
 
@@ -29,67 +28,50 @@ void MixMultiTaskDataset(Fingerprint* fp, const MultiTaskDataset& data) {
 
 }  // namespace
 
-nn::Var MultiTaskCnnModel::Encode(const std::vector<int>& ids, bool training,
-                                  Rng* rng) const {
-  std::vector<int> padded = ids;
-  const int max_width =
-      *std::max_element(config_.widths.begin(), config_.widths.end());
-  while (padded.size() < static_cast<size_t>(max_width)) padded.push_back(-1);
-  nn::Var emb = embedding_.Lookup(padded);
-  std::vector<nn::Var> pooled;
-  for (size_t w = 0; w < config_.widths.size(); ++w) {
-    pooled.push_back(nn::MaxOverTime(
-        nn::Relu(convs_[w].Apply(nn::Unfold(emb, config_.widths[w])))));
+std::vector<nn::Var> MultiTaskCnnModel::Params() const {
+  std::vector<nn::Var> params = trunk_.Params();
+  for (const auto* head : {&error_head_, &cpu_head_, &answer_head_}) {
+    for (const auto& p : head->Params()) params.push_back(p);
   }
-  return nn::Dropout(nn::ConcatCols(pooled), config_.dropout, training, rng);
+  return params;
 }
 
 size_t MultiTaskCnnModel::num_parameters() const {
   size_t total = 0;
-  for (const auto& p : embedding_.Params()) total += p->value.size();
-  for (const auto& conv : convs_) {
-    for (const auto& p : conv.Params()) total += p->value.size();
-  }
-  for (const auto* head : {&error_head_, &cpu_head_, &answer_head_}) {
-    for (const auto& p : head->Params()) total += p->value.size();
-  }
+  for (const auto& p : Params()) total += p->value.size();
   return total;
-}
-
-double MultiTaskCnnModel::ExampleLoss(const std::string& statement,
-                                      int error_label, float cpu_target,
-                                      float answer_target) const {
-  Rng unused(0);
-  const auto ids = vocab_.Encode(statement, config_.max_len);
-  nn::Var features = Encode(ids, /*training=*/false, &unused);
-  double loss = 0.0;
-  if (error_label >= 0) {
-    loss += nn::SoftmaxCrossEntropy(error_head_.Apply(features),
-                                    {error_label})
-                ->value.at(0);
-  }
-  if (HasTarget(cpu_target)) {
-    loss += nn::HuberLoss(cpu_head_.Apply(features), {cpu_target},
-                          config_.huber_delta)
-                ->value.at(0);
-  }
-  if (HasTarget(answer_target)) {
-    loss += nn::HuberLoss(answer_head_.Apply(features), {answer_target},
-                          config_.huber_delta)
-                ->value.at(0);
-  }
-  return loss;
 }
 
 double MultiTaskCnnModel::ValidLoss(const MultiTaskDataset& valid) const {
   if (valid.size() == 0) return 0.0;
-  // Forward-only, parallel per example; per-example losses land in slots and
-  // sum in example order, so the total is identical at any thread count.
+  // Per-example losses land in slots and sum in example order, so the
+  // total is identical at any thread count.
+  const auto encoded = trunk_.EncodePadded(valid.statements);
   std::vector<double> losses(valid.size(), 0.0);
-  ParallelFor(0, valid.size(), 8, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      losses[i] = ExampleLoss(valid.statements[i], valid.error_labels[i],
-                              valid.cpu_targets[i], valid.answer_targets[i]);
+  trunk_.ForEachSlice(encoded, /*int8=*/false, [&](size_t qb, size_t qe,
+                                                  const float* features,
+                                                  nn::Arena* arena) {
+    const int rows = static_cast<int>(qe - qb);
+    const float* error = error_head_.Apply(features, rows, arena);
+    const float* cpu = cpu_head_.Apply(features, rows, arena);
+    const float* answer = answer_head_.Apply(features, rows, arena);
+    for (size_t i = qb; i < qe; ++i) {
+      const size_t r = i - qb;
+      double loss = 0.0;
+      if (valid.error_labels[i] >= 0) {
+        loss += nn::infer::SoftmaxCrossEntropy(
+            error + r * num_error_classes_, 1, num_error_classes_,
+            &valid.error_labels[i], nullptr);
+      }
+      if (HasTarget(valid.cpu_targets[i])) {
+        loss += nn::infer::HuberLoss(cpu + r, &valid.cpu_targets[i], 1,
+                                     config_.huber_delta, nullptr);
+      }
+      if (HasTarget(valid.answer_targets[i])) {
+        loss += nn::infer::HuberLoss(answer + r, &valid.answer_targets[i], 1,
+                                     config_.huber_delta, nullptr);
+      }
+      losses[i] = loss;
     }
   });
   double total = 0.0;
@@ -105,31 +87,16 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
   // Captured before any init draw (see train_state.h: deterministic resume).
   const Rng::State entry_state = rng->state();
   num_error_classes_ = train.num_error_classes;
-  vocab_ = Vocabulary::Build(train.statements, config_.granularity,
-                             config_.max_vocab);
-  embedding_ =
-      nn::Embedding(static_cast<int>(vocab_.size()), config_.embed_dim, rng);
-  convs_.clear();
-  for (int width : config_.widths) {
-    convs_.emplace_back(width * config_.embed_dim, config_.kernels_per_width,
-                        rng);
-  }
-  const int feature_dim =
-      static_cast<int>(config_.widths.size()) * config_.kernels_per_width;
+  trunk_.Init(TrunkShape(), train.statements, config_.max_vocab, rng);
+  const int feature_dim = trunk_.feature_dim();
   error_head_ = nn::Linear(feature_dim, num_error_classes_, rng);
   cpu_head_ = nn::Linear(feature_dim, 1, rng);
   answer_head_ = nn::Linear(feature_dim, 1, rng);
 
-  std::vector<nn::Var> params = embedding_.Params();
-  for (const auto& conv : convs_) {
-    for (const auto& p : conv.Params()) params.push_back(p);
-  }
-  for (const auto* head : {&error_head_, &cpu_head_, &answer_head_}) {
-    for (const auto& p : head->Params()) params.push_back(p);
-  }
+  const std::vector<nn::Var> params = Params();
   nn::AdaMax optimizer(params, config_.lr);
 
-  auto encoded = vocab_.EncodeAll(train.statements, config_.max_len);
+  const auto encoded = trunk_.EncodePadded(train.statements);
 
   // Data-parallel training (see nn/data_parallel.h): per-example dropout
   // seeds are drawn serially from the master stream so masks — and thus
@@ -200,7 +167,7 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
             if (!has_any_loss(idx)) continue;
             Rng example_rng(dropout_seeds[i]);
             nn::Var features =
-                Encode(encoded[idx], /*training=*/true, &example_rng);
+                trunk_.Forward(encoded[idx], config_.dropout, &example_rng);
             nn::Var example_loss;
             auto accumulate = [&](nn::Var task_loss) {
               example_loss = example_loss == nullptr
@@ -244,14 +211,7 @@ Status MultiTaskCnnModel::SaveTo(std::ostream& out) const {
   serialize::WriteI32(out, config_.embed_dim);
   serialize::WriteI32(out, config_.kernels_per_width);
   serialize::WriteU64(out, config_.max_len);
-  serialize::WriteU64(out, config_.widths.size());
-  for (int w : config_.widths) serialize::WriteI32(out, w);
-  vocab_.SaveTo(out);
-  serialize::WriteTensor(out, embedding_.table->value);
-  for (const auto& conv : convs_) {
-    serialize::WriteTensor(out, conv.weight->value);
-    serialize::WriteTensor(out, conv.bias->value);
-  }
+  trunk_.WriteTo(out);
   for (const auto* head : {&error_head_, &cpu_head_, &answer_head_}) {
     serialize::WriteTensor(out, head->weight->value);
     serialize::WriteTensor(out, head->bias->value);
@@ -282,71 +242,53 @@ Status MultiTaskCnnModel::LoadFrom(std::istream& in) {
   auto max_len = serialize::ReadU64(in);
   if (!max_len.ok()) return max_len.status();
   config_.max_len = *max_len;
-  auto num_widths = serialize::ReadU64(in);
-  if (!num_widths.ok()) return num_widths.status();
-  if (*num_widths == 0 || *num_widths > 16) {
-    return Status::CorruptCheckpoint("implausible width count");
-  }
-  config_.widths.clear();
-  for (uint64_t i = 0; i < *num_widths; ++i) {
-    int w = 0;
-    if (Status s = read_i32(&w); !s.ok()) return s;
-    if (w < 1) return Status::CorruptCheckpoint("implausible conv width");
-    config_.widths.push_back(w);
-  }
-  auto vocab = Vocabulary::LoadFrom(in);
-  if (!vocab.ok()) return vocab.status();
-  vocab_ = std::move(vocab).value();
-
-  if (config_.embed_dim < 1 || config_.kernels_per_width < 1) {
-    return Status::CorruptCheckpoint("implausible multitask_model header");
-  }
-  // Every tensor must have the shape the header implies (see ReadParam).
-  auto read_param = [&in](nn::Var* dst, int64_t rows, int64_t cols,
-                          bool at_least_rows = false) {
-    return serialize::ReadParam(in, dst, rows, cols, at_least_rows);
-  };
-  const int d = config_.embed_dim;
-  const int kernels = config_.kernels_per_width;
-  if (Status s = read_param(&embedding_.table, vocab_.size(), d,
-                            /*at_least_rows=*/true);
-      !s.ok()) {
-    return s;
-  }
-  convs_.assign(config_.widths.size(), nn::Linear());
-  for (size_t w = 0; w < convs_.size(); ++w) {
-    const int64_t window = int64_t{config_.widths[w]} * d;
-    if (Status s = read_param(&convs_[w].weight, window, kernels); !s.ok()) {
-      return s;
-    }
-    if (Status s = read_param(&convs_[w].bias, 1, kernels); !s.ok()) return s;
-  }
-  const int64_t feat_dim =
-      int64_t{kernels} * static_cast<int64_t>(config_.widths.size());
+  if (Status s = trunk_.ReadFrom(in, TrunkShape()); !s.ok()) return s;
+  config_.widths = trunk_.shape().widths;
+  // Every head must have the shape the header implies (see ReadParam).
+  const int64_t feat_dim = trunk_.feature_dim();
   for (auto [head, outputs] : {std::pair{&error_head_, num_error_classes_},
                                std::pair{&cpu_head_, 1},
                                std::pair{&answer_head_, 1}}) {
-    if (Status s = read_param(&head->weight, feat_dim, outputs); !s.ok()) {
+    if (Status s = serialize::ReadParam(in, &head->weight, feat_dim, outputs);
+        !s.ok()) {
       return s;
     }
-    if (Status s = read_param(&head->bias, 1, outputs); !s.ok()) return s;
+    if (Status s = serialize::ReadParam(in, &head->bias, 1, outputs);
+        !s.ok()) {
+      return s;
+    }
   }
   return Status::Ok();
 }
 
 MultiTaskCnnModel::Prediction MultiTaskCnnModel::Predict(
     const std::string& statement) const {
-  Rng unused(0);
-  const auto ids = vocab_.Encode(statement, config_.max_len);
-  nn::Var features = Encode(ids, /*training=*/false, &unused);
-  Prediction pred;
-  nn::Var logits = error_head_.Apply(features);
-  pred.error_probs.assign(logits->value.data(),
-                          logits->value.data() + logits->value.size());
-  nn::infer::SoftmaxInPlace(pred.error_probs.data(), pred.error_probs.size());
-  pred.cpu = cpu_head_.Apply(features)->value.at(0);
-  pred.answer = answer_head_.Apply(features)->value.at(0);
-  return pred;
+  return PredictBatch(std::span<const std::string>(&statement, 1))[0];
+}
+
+std::vector<MultiTaskCnnModel::Prediction> MultiTaskCnnModel::PredictBatch(
+    std::span<const std::string> statements) const {
+  const auto encoded = trunk_.EncodePadded(statements);
+  std::vector<Prediction> preds(encoded.size());
+  trunk_.ForEachSlice(encoded, /*int8=*/false, [&](size_t qb, size_t qe,
+                                                  const float* features,
+                                                  nn::Arena* arena) {
+    const int rows = static_cast<int>(qe - qb);
+    const float* error = error_head_.Apply(features, rows, arena);
+    const float* cpu = cpu_head_.Apply(features, rows, arena);
+    const float* answer = answer_head_.Apply(features, rows, arena);
+    for (size_t q = qb; q < qe; ++q) {
+      const size_t r = q - qb;
+      Prediction& pred = preds[q];
+      const float* logits = error + r * num_error_classes_;
+      pred.error_probs.assign(logits, logits + num_error_classes_);
+      nn::infer::SoftmaxInPlace(pred.error_probs.data(),
+                                pred.error_probs.size());
+      pred.cpu = cpu[r];
+      pred.answer = answer[r];
+    }
+  });
+  return preds;
 }
 
 }  // namespace sqlfacil::models

@@ -2,14 +2,13 @@
 #define SQLFACIL_MODELS_MULTITASK_MODEL_H_
 
 #include <iosfwd>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "sqlfacil/models/cnn_trunk.h"
 #include "sqlfacil/models/train_state.h"
-#include "sqlfacil/models/vocab.h"
 #include "sqlfacil/nn/layers.h"
-#include "sqlfacil/nn/optim.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/status.h"
 
@@ -29,11 +28,11 @@ struct MultiTaskDataset {
 };
 
 /// The multi-task extension sketched in the paper's Section 8: one shared
-/// character-level CNN encoder (embeddings + parallel convolutions +
-/// max-over-time pooling) feeding three task heads — error classification,
-/// CPU-time regression, answer-size regression. The joint loss is the sum
-/// of the per-task losses; tasks with correlated labels (long queries are
-/// slow AND large) share representation capacity.
+/// character-level CNN encoder (the CnnTrunk that CnnModel also uses)
+/// feeding three task heads — error classification, CPU-time regression,
+/// answer-size regression. The joint loss is the sum of the per-task
+/// losses; tasks with correlated labels (long queries are slow AND large)
+/// share representation capacity.
 class MultiTaskCnnModel {
  public:
   struct Config {
@@ -67,7 +66,12 @@ class MultiTaskCnnModel {
     float cpu = 0.0f;     // log space
     float answer = 0.0f;  // log space
   };
+  /// A batch of one through PredictBatch, so the two agree bit for bit.
   Prediction Predict(const std::string& statement) const;
+  /// The trunk's graph-free forward (fixed 32-statement slices on the
+  /// thread pool) under the three heads.
+  std::vector<Prediction> PredictBatch(
+      std::span<const std::string> statements) const;
 
   size_t num_parameters() const;
 
@@ -81,16 +85,19 @@ class MultiTaskCnnModel {
   Status LoadFrom(std::istream& in);
 
  private:
-  nn::Var Encode(const std::vector<int>& ids, bool training, Rng* rng) const;
+  CnnTrunk::Shape TrunkShape() const {
+    return {config_.granularity, config_.max_len, config_.embed_dim,
+            config_.kernels_per_width, config_.widths};
+  }
+  /// The trunk's parameters, then each head's, in checkpoint order.
+  std::vector<nn::Var> Params() const;
+  /// Mean over `valid` of each example's summed task losses (absent labels
+  /// skipped), from the graph-free forward.
   double ValidLoss(const MultiTaskDataset& valid) const;
-  double ExampleLoss(const std::string& statement, int error_label,
-                     float cpu_target, float answer_target) const;
 
   Config config_;
   int num_error_classes_ = 3;
-  Vocabulary vocab_;
-  nn::Embedding embedding_;
-  std::vector<nn::Linear> convs_;
+  CnnTrunk trunk_;
   nn::Linear error_head_;
   nn::Linear cpu_head_;
   nn::Linear answer_head_;

@@ -5,7 +5,6 @@
 
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/train_state.h"
-#include "sqlfacil/nn/data_parallel.h"
 #include "sqlfacil/nn/infer.h"
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/logging.h"
@@ -88,14 +87,10 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
     return total / static_cast<double>(n_valid);
   };
 
-  // Sharded mini-batch sparse SGD. Each minibatch runs two phases:
-  // (1) per-example score gradients compute in parallel from the
-  // batch-start weights (shard boundaries depend only on the batch size and
-  // the shard cap, never on SQLFACIL_THREADS), then (2) a serial merge
-  // applies the sparse updates in example order. Trained weights are
-  // therefore bit-identical at any thread count.
-  const size_t max_shards =
-      static_cast<size_t>(std::max(1, config_.train_shards));
+  // Mini-batch sparse SGD. Each minibatch runs two phases: (1) per-example
+  // score gradients from the batch-start weights, then (2) a merge that
+  // applies the sparse updates in example order. Both run on the calling
+  // thread: a 16-example batch is less work than a pool hand-off.
   const size_t batch_size =
       static_cast<size_t>(std::max(1, config_.batch_size));
   const size_t n = train.size();
@@ -110,8 +105,7 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
       .MixI32(config_.batch_size)
       .MixFloat(config_.lr)
       .MixFloat(config_.weight_decay)
-      .MixFloat(config_.huber_delta)
-      .MixI32(config_.train_shards);
+      .MixFloat(config_.huber_delta);
   MixDataset(&fp, train);
   MixDataset(&fp, valid);
   fp.MixRngState(entry_state);
@@ -134,39 +128,29 @@ void TfidfModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
     const size_t end = std::min(n, start + batch_size);
     const size_t batch = end - start;
     dscores.assign(batch * static_cast<size_t>(outputs_), 0.0f);
-    const size_t grain = nn::ShardGrain(batch, max_shards);
-    ParallelForChunks(0, batch, grain, [&](size_t, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        const size_t idx = perm[start + i];
-        auto scores = Scores(train_features[idx]);
-        float* dscore = &dscores[i * static_cast<size_t>(outputs_)];
-        if (kind_ == TaskKind::kClassification) {
-          Softmax(&scores);
-          // Soft-target cross-entropy has the same gradient form with the
-          // one-hot indicator replaced by the teacher distribution.
-          const bool soft = train.soft_labels.size() == n;
-          const float* t = soft ? train.soft_labels[idx].data() : nullptr;
-          for (int c = 0; c < outputs_; ++c) {
-            const float target =
-                soft ? t[c] : (c == train.labels[idx] ? 1.0f : 0.0f);
-            dscore[c] = scores[c] - target;
-          }
-        } else {
-          const float r = scores[0] - train.targets[idx];
-          dscore[0] = std::fabs(r) <= config_.huber_delta
-                          ? r
-                          : (r > 0 ? config_.huber_delta
-                                   : -config_.huber_delta);
-        }
-        // Batch-mean normalization: every gradient in the batch was taken
-        // at the same (batch-start) weights, so applying their sum at the
-        // per-example rate would overshoot; the mean keeps the linear
-        // region contractive at any batch size.
+    for (size_t i = 0; i < batch; ++i) {
+      const size_t idx = perm[start + i];
+      auto scores = Scores(train_features[idx]);
+      float* dscore = &dscores[i * static_cast<size_t>(outputs_)];
+      if (kind_ == TaskKind::kClassification) {
+        Softmax(&scores);
         for (int c = 0; c < outputs_; ++c) {
-          dscore[c] /= static_cast<float>(batch);
+          dscore[c] = scores[c] - (c == train.labels[idx] ? 1.0f : 0.0f);
         }
+      } else {
+        const float r = scores[0] - train.targets[idx];
+        dscore[0] = std::fabs(r) <= config_.huber_delta
+                        ? r
+                        : (r > 0 ? config_.huber_delta : -config_.huber_delta);
       }
-    });
+      // Batch-mean normalization: every gradient in the batch was taken at
+      // the same (batch-start) weights, so applying their sum at the
+      // per-example rate would overshoot; the mean keeps the linear region
+      // contractive at any batch size.
+      for (int c = 0; c < outputs_; ++c) {
+        dscore[c] /= static_cast<float>(batch);
+      }
+    }
     // Ordered merge: sparse updates apply in example order (weight decay
     // on touched rows only, reading the live row as before). The rate, the
     // decay and the weight pointers are locals: a float read through a

@@ -22,11 +22,6 @@ class TfidfModel : public Model {
     float lr = 0.5f;
     float weight_decay = 1e-5f;
     float huber_delta = 1.0f;
-    /// Upper bound on microbatch shards per training step: per-example
-    /// score gradients compute in parallel from batch-start weights, then a
-    /// serial merge applies the sparse updates in example order, so trained
-    /// weights are bit-identical at any SQLFACIL_THREADS setting.
-    int train_shards = 8;
     /// Crash-safe training snapshots (empty dir disables).
     SnapshotOptions snapshot;
   };

@@ -176,11 +176,6 @@ void MixDataset(Fingerprint* fp, const Dataset& data) {
   for (int l : data.labels) fp->MixI32(l);
   fp->Mix(data.targets.size());
   for (float t : data.targets) fp->MixFloat(t);
-  fp->Mix(data.soft_labels.size());
-  for (const auto& row : data.soft_labels) {
-    fp->Mix(row.size());
-    for (float t : row) fp->MixFloat(t);
-  }
 }
 
 TrainState CaptureTrainState(int32_t epoch, uint64_t batch_cursor,

@@ -438,27 +438,6 @@ void SoftmaxCrossEntropyBackward(Variable& node) {
   }
 }
 
-void SoftCrossEntropyBackward(Variable& node) {
-  Variable* logits = node.parents[0].get();
-  if (!logits->requires_grad) return;
-  const int b = logits->value.rows();
-  const int c = logits->value.cols();
-  const float g = node.grad.at(0, 0) / static_cast<float>(b);
-  Tensor& dL = logits->EnsureGrad();
-  const float* P = node.aux.data();
-  const float* T = node.faux.data();
-  // dL += g * (probs - targets): the hard-label gradient above with the
-  // indicator generalized to the full target distribution.
-  for (int i = 0; i < b; ++i) {
-    float* dl_row = dL.data() + static_cast<size_t>(i) * c;
-    const float* p_row = P + static_cast<size_t>(i) * c;
-    const float* t_row = T + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) {
-      dl_row[j] += g * (p_row[j] - t_row[j]);
-    }
-  }
-}
-
 void HuberLossBackward(Variable& node) {
   Variable* pred = node.parents[0].get();
   if (!pred->requires_grad) return;
@@ -537,9 +516,6 @@ void RunBackward(Variable& node) {
       break;
     case Op::kSoftmaxCrossEntropy:
       SoftmaxCrossEntropyBackward(node);
-      break;
-    case Op::kSoftCrossEntropy:
-      SoftCrossEntropyBackward(node);
       break;
     case Op::kHuberLoss:
       HuberLossBackward(node);
@@ -798,8 +774,8 @@ Var Mean(const Var& a) {
   return v;
 }
 
-Var Dropout(const Var& a, float p, bool training, Rng* rng) {
-  if (!training || p <= 0.0f) return a;
+Var Dropout(const Var& a, float p, Rng* rng) {
+  if (p <= 0.0f) return a;
   SQLFACIL_CHECK(p < 1.0f);
   SQLFACIL_CHECK(rng != nullptr);
   const float keep = 1.0f - p;
@@ -863,43 +839,6 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int>& labels,
   v->value.at(0, 0) = loss;
   v->iaux.assign(labels.begin(), labels.end());
   detail::FinalizeOp(v, Op::kSoftmaxCrossEntropy, {logits});
-  return v;
-}
-
-Var SoftCrossEntropy(const Var& logits, const std::vector<float>& targets,
-                     Tensor* probs_out) {
-  const int b = logits->value.rows();
-  const int c = logits->value.cols();
-  SQLFACIL_CHECK(targets.size() == static_cast<size_t>(b) * c);
-  Var v = detail::AllocNode();
-  v->aux.ResetShape({b, c});
-  Tensor& probs = v->aux;
-  double loss_sum = 0.0;
-  for (int i = 0; i < b; ++i) {
-    float max_logit = logits->value.at(i, 0);
-    for (int j = 1; j < c; ++j) {
-      max_logit = std::max(max_logit, logits->value.at(i, j));
-    }
-    double denom = 0.0;
-    for (int j = 0; j < c; ++j) {
-      denom += std::exp(static_cast<double>(logits->value.at(i, j) -
-                                            max_logit));
-    }
-    for (int j = 0; j < c; ++j) {
-      probs.at(i, j) = static_cast<float>(
-          std::exp(static_cast<double>(logits->value.at(i, j) - max_logit)) /
-          denom);
-      loss_sum -= static_cast<double>(targets[static_cast<size_t>(i) * c +
-                                              j]) *
-                  std::log(std::max(1e-12,
-                                    static_cast<double>(probs.at(i, j))));
-    }
-  }
-  if (probs_out != nullptr) probs_out->CopyFrom(probs);
-  v->value.ResetShape({1, 1});
-  v->value.at(0, 0) = static_cast<float>(loss_sum / b);
-  v->faux.assign(targets.begin(), targets.end());
-  detail::FinalizeOp(v, Op::kSoftCrossEntropy, {logits});
   return v;
 }
 

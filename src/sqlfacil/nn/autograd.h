@@ -32,7 +32,6 @@ enum class Op : std::uint8_t {
   kBlendRows,
   kUnfold,
   kSoftmaxCrossEntropy,
-  kSoftCrossEntropy,
   kHuberLoss,
   kSquaredLoss,
   kLstmSequence,  // fused multi-layer BPTT op (nn/lstm_fused.h)
@@ -162,8 +161,9 @@ Var MaxOverTime(const Var& a);
 /// Mean over all elements -> (1 x 1) scalar.
 Var Mean(const Var& a);
 
-/// Inverted dropout; identity when `training` is false or p == 0.
-Var Dropout(const Var& a, float p, bool training, Rng* rng);
+/// Inverted dropout at rate `p` (a training-step op: inference paths run
+/// the nn::infer kernels without it); identity when p == 0.
+Var Dropout(const Var& a, float p, Rng* rng);
 
 /// Per-row blend used for padded LSTM batches:
 /// out_row_i = mask[i] ? a_row_i : b_row_i.
@@ -179,14 +179,6 @@ Var Unfold(const Var& a, int window);
 /// If `probs_out` is non-null it receives the (B x C) softmax.
 Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int>& labels,
                         Tensor* probs_out = nullptr);
-
-/// Soft-target cross-entropy for logits (B x C) against full target
-/// distributions `targets` (B*C row-major; each row sums to 1): the
-/// distillation loss -mean_i sum_j t_ij log softmax(logits)_ij, whose
-/// gradient is (softmax - t) / B. Reduces to SoftmaxCrossEntropy when each
-/// row is a one-hot indicator.
-Var SoftCrossEntropy(const Var& logits, const std::vector<float>& targets,
-                     Tensor* probs_out = nullptr);
 
 /// Huber loss (Eq. A.1/A.2) of predictions (B x 1) against targets.
 Var HuberLoss(const Var& pred, const std::vector<float>& targets,

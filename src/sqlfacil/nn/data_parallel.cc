@@ -45,10 +45,17 @@ void GradShards::Reduce(const std::vector<Var>& params, size_t used) {
   });
 }
 
+namespace {
+
+/// Chunk grain that yields at most `max_shards` shards over `batch` rows:
+/// ceil(batch / max_shards). Shard boundaries then come from NumChunks with
+/// this grain — a pure function of (batch, max_shards).
 size_t ShardGrain(size_t batch, size_t max_shards) {
   SQLFACIL_CHECK(max_shards >= 1);
   return (batch + max_shards - 1) / max_shards;
 }
+
+}  // namespace
 
 double ShardedTrainStep(
     const std::vector<Var>& params, GradShards* shards, size_t batch,

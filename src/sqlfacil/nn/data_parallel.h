@@ -58,11 +58,6 @@ class GradShards {
   std::vector<double> losses_;
 };
 
-/// Chunk grain that yields at most `max_shards` shards over `batch` rows:
-/// ceil(batch / max_shards). Shard boundaries then come from NumChunks with
-/// this grain — a pure function of (batch, max_shards).
-size_t ShardGrain(size_t batch, size_t max_shards);
-
 /// One data-parallel training step over a minibatch of `batch` examples.
 ///
 /// Splits [0, batch) into at most `max_shards` microbatch shards and runs

@@ -1,5 +1,7 @@
 #include "sqlfacil/nn/layers.h"
 
+#include "sqlfacil/nn/arena.h"
+#include "sqlfacil/nn/infer.h"
 #include "sqlfacil/util/logging.h"
 
 namespace sqlfacil::nn {
@@ -9,6 +11,15 @@ Linear::Linear(int in, int out, Rng* rng)
       bias(MakeParam(Tensor::Zeros({1, out}))) {}
 
 Var Linear::Apply(const Var& x) const { return Add(MatMul(x, weight), bias); }
+
+float* Linear::Apply(const float* x, int rows, Arena* arena) const {
+  const int in = weight->value.rows();
+  const int out = weight->value.cols();
+  float* y = arena->Alloc(static_cast<size_t>(rows) * out);
+  infer::MatMul(x, weight->value.data(), y, rows, in, out);
+  infer::BiasAdd(y, bias->value.data(), rows, out);
+  return y;
+}
 
 Embedding::Embedding(int vocab, int dim, Rng* rng)
     : table(MakeParam(Tensor::RandomUniform({vocab, dim}, 0.1f, rng))) {}

@@ -7,12 +7,17 @@
 
 namespace sqlfacil::nn {
 
+class Arena;
+
 /// Affine map x @ W + b with W (in x out), b (1 x out), Glorot init.
 struct Linear {
   Linear() = default;
   Linear(int in, int out, Rng* rng);
 
   Var Apply(const Var& x) const;
+  /// Graph-free Apply on `rows` row-major inputs: the (rows x out) result
+  /// in `arena`, bit-identical to Apply's value (nn::infer kernels).
+  float* Apply(const float* x, int rows, Arena* arena) const;
   std::vector<Var> Params() const { return {weight, bias}; }
 
   Var weight;

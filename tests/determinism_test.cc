@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sqlfacil/models/cnn_model.h"
 #include "sqlfacil/models/lstm_model.h"
+#include "sqlfacil/models/multitask_model.h"
 #include "sqlfacil/models/tfidf_model.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/util/random.h"
@@ -216,15 +218,31 @@ Dataset SyntheticRegression(size_t n, uint64_t seed) {
   return data;
 }
 
+// Statements with three labels each, a third of them absent per task, so
+// the multitask loss sums skip absent labels in training and validation.
+models::MultiTaskDataset SyntheticMultiTask(size_t n, uint64_t seed) {
+  const Dataset base = SyntheticRegression(n, seed);
+  models::MultiTaskDataset data;
+  data.num_error_classes = 2;
+  data.statements = base.statements;
+  for (size_t i = 0; i < n; ++i) {
+    const float joins = std::floor(base.targets[i]);
+    data.error_labels.push_back(i % 3 == 0 ? -1 : static_cast<int>(joins) % 2);
+    data.cpu_targets.push_back(i % 3 == 1 ? std::nanf("") : base.targets[i]);
+    data.answer_targets.push_back(i % 3 == 2 ? std::nanf("") : 2.0f * joins);
+  }
+  return data;
+}
+
 // The training sweep: final weights (serialized bytes) and the per-epoch
 // validation-loss trajectory must be bit-identical across every
 // (simd, threads) combination — the shard boundaries, reduction order, and
-// loss sums depend only on the batch size and the shard cap. The neural
-// families quantize before saving, so the bytes also carry an int8 tier
-// calibrated at that combination.
-template <typename Model, typename Config>
-void TrainingSweep(const Config& config, const Dataset& train,
-                   const Dataset& valid) {
+// loss sums depend only on the batch size and the shard cap. The families
+// with an int8 tier quantize before saving, so the bytes also carry that
+// tier calibrated at that combination.
+template <typename Model, typename Data>
+void TrainingSweep(const typename Model::Config& config, const Data& train,
+                   const Data& valid) {
   SimdGuard guard;
   std::string ref_bytes;
   std::vector<double> ref_history;
@@ -317,6 +335,22 @@ TEST(DeterminismTest, LstmRegressionTrainingSweepBitIdentical) {
   config.epochs = 2;
   config.batch_size = 5;
   TrainingSweep<models::LstmModel>(config, train, valid);
+}
+
+TEST(DeterminismTest, MultiTaskTrainingSweepBitIdentical) {
+  const auto train = SyntheticMultiTask(20, 109);
+  const auto valid = SyntheticMultiTask(8, 110);
+  models::MultiTaskCnnModel::Config config;
+  config.granularity = sql::Granularity::kWord;
+  config.embed_dim = 4;
+  config.widths = {2, 3};
+  config.epochs = 2;
+  config.batch_size = 6;
+  for (int kernels : {4, 20}) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    config.kernels_per_width = kernels;
+    TrainingSweep<models::MultiTaskCnnModel>(config, train, valid);
+  }
 }
 
 TEST(DeterminismTest, SdssWorkloadBitIdenticalAcrossThreadCounts) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "sqlfacil/models/cnn_model.h"
 #include "sqlfacil/models/multitask_model.h"
@@ -98,6 +100,80 @@ TEST(MultiTaskTest, SharedEncoderSmallerThanThreeSingles) {
 
   EXPECT_LT(multi.num_parameters(), 3 * one.num_parameters());
   EXPECT_GT(multi.num_parameters(), one.num_parameters());
+}
+
+// Predict is a batch of one through the graph-free trunk forward, so every
+// slot of a two-slice batch must match it bit for bit: empty statements,
+// statements past max_len, statements shorter than the widest window and
+// duplicates included. The validation split holds rows with some and with
+// all labels absent, and the best epoch's ValidLoss must be the mean over
+// all rows of each row's summed present-task losses.
+TEST(MultiTaskTest, PredictMatchesPredictBatchAndValidLossSkipsAbsentLabels) {
+  Rng rng(5);
+  auto train = MakeMultiSet(60, &rng);
+  auto valid = MakeMultiSet(20, &rng);
+  for (size_t i = 0; i < valid.size(); i += 3) valid.error_labels[i] = -1;
+  for (size_t i = 1; i < valid.size(); i += 4) {
+    valid.cpu_targets[i] = std::nanf("");
+  }
+  for (size_t i = 2; i < valid.size(); i += 5) {
+    valid.answer_targets[i] = std::nanf("");
+  }
+  valid.error_labels[7] = -1;
+  valid.cpu_targets[7] = std::nanf("");
+  valid.answer_targets[7] = std::nanf("");
+  MultiTaskCnnModel::Config config = SmallConfig();
+  config.epochs = 2;
+  config.max_len = 40;
+  MultiTaskCnnModel model(config);
+  model.Fit(train, valid, &rng);
+
+  std::vector<std::string> batch = valid.statements;
+  batch.push_back("");
+  batch.push_back("SE");  // shorter than the widest window (5)
+  batch.push_back(std::string(3 * config.max_len, 'x'));
+  batch.push_back("SELECT * FROM Galaxy WHERE r < 3 AND objid IN (" +
+                  std::string(2 * config.max_len, '7') + ")");
+  for (int i = 0; i < 16; ++i) batch.push_back(valid.statements[i % 4]);
+  ASSERT_GT(batch.size(), 32u);
+  const auto preds = model.PredictBatch(batch);
+  ASSERT_EQ(preds.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto one = model.Predict(batch[i]);
+    ASSERT_EQ(one.error_probs.size(), 2u);
+    ASSERT_EQ(preds[i].error_probs.size(), 2u);
+    EXPECT_EQ(0, std::memcmp(one.error_probs.data(),
+                             preds[i].error_probs.data(),
+                             2 * sizeof(float)))
+        << "slot " << i;
+    EXPECT_EQ(0, std::memcmp(&one.cpu, &preds[i].cpu, sizeof(float)))
+        << "slot " << i;
+    EXPECT_EQ(0, std::memcmp(&one.answer, &preds[i].answer, sizeof(float)))
+        << "slot " << i;
+  }
+
+  auto huber = [&](double r) {
+    const double ar = std::fabs(r);
+    const double delta = config.huber_delta;
+    return ar <= delta ? 0.5 * r * r : delta * (ar - 0.5 * delta);
+  };
+  double total = 0.0;
+  for (size_t i = 0; i < valid.size(); ++i) {
+    if (valid.error_labels[i] >= 0) {
+      total -= std::log(std::max(
+          1e-12, double{preds[i].error_probs[valid.error_labels[i]]}));
+    }
+    if (!std::isnan(valid.cpu_targets[i])) {
+      total += huber(preds[i].cpu - valid.cpu_targets[i]);
+    }
+    if (!std::isnan(valid.answer_targets[i])) {
+      total += huber(preds[i].answer - valid.answer_targets[i]);
+    }
+  }
+  const auto& history = model.valid_history();
+  ASSERT_EQ(history.size(), 2u);
+  const double best = *std::min_element(history.begin(), history.end());
+  EXPECT_NEAR(best, total / static_cast<double>(valid.size()), 1e-4 * best);
 }
 
 // ---------------------------------------------------------------------------
