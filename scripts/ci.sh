@@ -6,7 +6,8 @@
 #        into <build-dir>-perfbench)
 # Exits non-zero on the first failing stage; prints one loud status line
 # per stage so logs are greppable (CI_BUILD_WARNINGS when the Release
-# build prints a compiler warning, else CI_TESTS_OK / CI_DISK_TESTS_OK /
+# build prints a compiler warning, CI_FMA_FOUND when the library holds a
+# fused multiply-add, else CI_NO_FMA_OK / CI_TESTS_OK / CI_DISK_TESTS_OK /
 # CI_WAL_TESTS_OK / CI_FAILPOINT_MATRIX_OK / CI_STORAGE_MATRIX_OK /
 # CI_WAL_MATRIX_OK / CI_SERVING_SOAK_OK / CI_LIFECYCLE_OK /
 # CI_PERFBENCH_OK / RESUME_CHAOS_OK / CI_CRASH_RECOVERY_OK / ASAN_CLEAN /
@@ -29,6 +30,18 @@ if grep 'warning:' "$BUILD_LOG" >&2; then
   echo "CI_BUILD_WARNINGS" >&2
   exit 1
 fi
+# The float kernels round once per multiply and once per add at every SIMD
+# level (nn/simd.h), so the library must hold no fused multiply-add: the
+# AVX-512 kernels' target has FMA, and only -ffp-contract=off keeps GCC
+# from fusing their mul + add pairs. This checks the instructions
+# themselves, whether or not a test input happens to round differently.
+DISASM="$BUILD_DIR/ci_disasm.txt"
+objdump -d "$BUILD_DIR/src/libsqlfacil.a" >"$DISASM"
+if grep -E 'vfn?m(add|sub)' "$DISASM" >&2; then
+  echo "CI_FMA_FOUND" >&2
+  exit 1
+fi
+echo "CI_NO_FMA_OK"
 if ! ctest --test-dir "$BUILD_DIR" --output-on-failure; then
   echo "CI_TESTS_FAILED" >&2
   exit 1

@@ -30,7 +30,7 @@ size_t RowGrainForFlops(size_t flop_grain, int k, int n) {
   // the rows to outweigh dispatch overhead (the small-CnnForward shapes:
   // 64-window conv rows are cheap). Grain only moves chunk boundaries of
   // row-independent kernels, so results are unchanged.
-  if (simd::Enabled()) grain *= 4;
+  if (simd::GetLevel() != simd::Level::kScalar) grain *= 4;
   return grain;
 }
 

@@ -22,7 +22,7 @@ class Arena;
 /// the thread-local training arena. The backward is a hand-written BPTT
 /// that walks t descending / layer descending and scatters parameter
 /// gradients through the simd contract kernels, so results are bit-identical
-/// across SQLFACIL_SIMD on/off and any chunking.
+/// at every SIMD level and any chunking.
 ///
 /// `step_ids` holds max_len * batch token ids, row-major by time step
 /// (step_ids[t * batch + b]; -1 = padding); `lens[b]` is sample b's true

@@ -42,7 +42,7 @@ Status ReadMoments(std::istream& in, const std::vector<Var>& params,
 // Optimizer steps run as flat-slab kernels (nn/simd.h): one fused pass per
 // parameter tensor, per-step scalars (bias corrections, rates) hoisted out
 // of the element loop. The kernels follow the simd bit-identity contract,
-// so stepped weights match exactly with SQLFACIL_SIMD on or off.
+// so stepped weights match exactly at every SIMD level.
 
 Sgd::Sgd(std::vector<Var> params, float lr, float weight_decay)
     : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 
+#include "sqlfacil/nn/simd_int8.h"
 #include "sqlfacil/util/env.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -22,18 +23,34 @@ namespace sqlfacil::nn::simd {
 
 namespace {
 
-// Dispatch flag. Relaxed atomics: SetEnabled must not race with running
-// kernels (same contract as ThreadPool::SetGlobalThreads), the atomic only
-// keeps the flag itself TSan-clean.
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_initialized{false};
+// Dispatch level, -1 until first use. Relaxed atomics: SetLevel must not
+// race with running kernels (same contract as ThreadPool::SetGlobalThreads),
+// the atomic only keeps the level itself TSan-clean.
+std::atomic<int> g_level{-1};
 
-void InitOnce() {
-  if (g_initialized.load(std::memory_order_acquire)) return;
-  const int knob = GetSimdFromEnv();
-  const bool on = HasAvx2() && knob != 0;
-  g_enabled.store(on, std::memory_order_relaxed);
-  g_initialized.store(true, std::memory_order_release);
+// The best level the CPU supports. __builtin_cpu_supports("avx512f") also
+// requires the OS to save the zmm state.
+Level CpuLevel() {
+#if SQLFACIL_X86
+  static const Level level = __builtin_cpu_supports("avx512f") ? Level::kAvx512
+                             : __builtin_cpu_supports("avx2") ? Level::kAvx2
+                                                              : Level::kScalar;
+  return level;
+#else
+  return Level::kScalar;
+#endif
+}
+
+const char* LevelName(Level level) {
+  switch (level) {
+    case Level::kAvx512:
+      return "avx512";
+    case Level::kAvx2:
+      return "avx2";
+    case Level::kScalar:
+      break;
+  }
+  return "scalar";
 }
 
 // --- Scalar fallbacks -------------------------------------------------------
@@ -115,9 +132,12 @@ inline float ExpPolyScalar(float x) {
   p = p * r + kExpC2;
   p = p * r + kExpC1;
   p = p * r + kExpC0;
-  // 2^n via the exponent field; n is integral and |n| <= 63 after the clamp.
-  const uint32_t bits =
-      static_cast<uint32_t>(static_cast<int>(nf) + 127) << 23;
+  // 2^n via the exponent field; n is integral and |n| <= 43 after the
+  // clamp. A NaN z takes n = 0 (converting NaN to int is undefined), so the
+  // result is p * 1 = NaN, as the vector paths give: their conversion
+  // yields 0x80000000, whose shifted exponent field is 2^0 too.
+  const int n = std::isnan(nf) ? 0 : static_cast<int>(nf);
+  const uint32_t bits = static_cast<uint32_t>(n + 127) << 23;
   float s;
   std::memcpy(&s, &bits, sizeof(s));
   return p * s;
@@ -472,10 +492,11 @@ __attribute__((target("avx2"))) void AdaMaxStepAvx2(float* w, const float* g,
     const __m256 vm = _mm256_add_ps(
         _mm256_mul_ps(vb1, _mm256_loadu_ps(m + i)), _mm256_mul_ps(vob1, grad));
     _mm256_storeu_ps(m + i, vm);
-    // max_ps(b2*u, |grad|): both operands are non-negative for finite
-    // inputs, so the tie-break (second operand on equality) is bit-neutral.
-    const __m256 vu = _mm256_max_ps(_mm256_mul_ps(vb2, _mm256_loadu_ps(u + i)),
-                                    _mm256_and_ps(grad, abs_mask));
+    // std::max(b2*u, |grad|) is max_ps(|grad|, b2*u): max_ps returns its
+    // second operand on equality and when either operand is NaN, so a NaN
+    // grad leaves b2*u, exactly like std::max.
+    const __m256 vu = _mm256_max_ps(_mm256_and_ps(grad, abs_mask),
+                                    _mm256_mul_ps(vb2, _mm256_loadu_ps(u + i)));
     _mm256_storeu_ps(u + i, vu);
     const __m256 upd = _mm256_div_ps(_mm256_mul_ps(vlr, _mm256_div_ps(vm, vbc1)),
                                      _mm256_add_ps(vu, veps));
@@ -490,11 +511,13 @@ __attribute__((target("avx2"))) void AdaMaxStepAvx2(float* w, const float* g,
 }
 
 // Lane-parallel twin of ExpPolyScalar: same clamp, same round, same Horner
-// order, same exponent-bit scale.
+// order, same exponent-bit scale. The clamp std::min(std::max(z, lo), hi)
+// is min_ps(hi, max_ps(lo, z)): max_ps and min_ps return their second
+// operand when either is NaN, so a NaN z passes through as in the spec.
 __attribute__((target("avx2"))) inline __m256 ExpPolyAvx2(__m256 x) {
   __m256 z = _mm256_mul_ps(x, _mm256_set1_ps(kExpLog2e));
-  z = _mm256_min_ps(_mm256_max_ps(z, _mm256_set1_ps(-kExpClamp)),
-                    _mm256_set1_ps(kExpClamp));
+  z = _mm256_min_ps(_mm256_set1_ps(kExpClamp),
+                    _mm256_max_ps(_mm256_set1_ps(-kExpClamp), z));
   const __m256 nf =
       _mm256_round_ps(z, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   const __m256 r = _mm256_sub_ps(z, nf);
@@ -895,46 +918,308 @@ __attribute__((target("avx2"))) void MaxOverTimeRowsAvx2(
   }
 }
 
+// --- AVX-512 variants -------------------------------------------------------
+// zmm (16-float) variants of exactly the kernels the LSTM step and LSTM
+// training run; every other kernel keeps its AVX2 variant at this level.
+// The rules are the AVX2 ones: the spec's terms in the spec's order, one
+// rounding per multiply and one per add. AVX-512F includes FMA, so nothing
+// here may be contracted: the library builds with -ffp-contract=off
+// (src/CMakeLists.txt), and scripts/ci.sh fails on an FMA instruction in
+// it. A lane count that is not a multiple of 16 runs its last group under
+// a mask (a masked load never touches the dead lanes' memory) instead of a
+// scalar tail. GCC 12 expands the unmasked max/min/roundscale/cvtps/slli
+// intrinsics through _mm512_undefined_*, which -Wall reports as maybe
+// uninitialized; their maskz forms under an all-ones mask are the same
+// instructions and build clean.
+
+constexpr __mmask16 kAllLanes = 0xffff;
+
+// The low `lanes` lanes, 1 <= lanes <= 16.
+inline __mmask16 LowLanes(size_t lanes) {
+  return static_cast<__mmask16>((1u << lanes) - 1);
+}
+
+// Zmm twin of ExpPolyAvx2, clamp operand order included.
+__attribute__((target("avx512f"))) inline __m512 ExpPolyAvx512(__m512 x) {
+  __m512 z = _mm512_mul_ps(x, _mm512_set1_ps(kExpLog2e));
+  z = _mm512_maskz_min_ps(
+      kAllLanes, _mm512_set1_ps(kExpClamp),
+      _mm512_maskz_max_ps(kAllLanes, _mm512_set1_ps(-kExpClamp), z));
+  const __m512 nf = _mm512_maskz_roundscale_ps(
+      kAllLanes, z, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m512 r = _mm512_sub_ps(z, nf);
+  __m512 p = _mm512_set1_ps(kExpC7);
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC6));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC5));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC4));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC3));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC2));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC1));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kExpC0));
+  const __m512i e = _mm512_maskz_cvtps_epi32(kAllLanes, nf);
+  const __m512 s = _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+      kAllLanes, _mm512_add_epi32(e, _mm512_set1_epi32(127)), 23));
+  return _mm512_mul_ps(p, s);
+}
+
+__attribute__((target("avx512f"))) inline __m512 SigmoidPolyAvx512(__m512 x) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  // Flipping the sign bit is scalar negation (AVX-512F has no float xor).
+  const __m512 neg = _mm512_castsi512_ps(_mm512_xor_si512(
+      _mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN)));
+  return _mm512_div_ps(one, _mm512_add_ps(one, ExpPolyAvx512(neg)));
+}
+
+__attribute__((target("avx512f"))) inline __m512 TanhPolyAvx512(__m512 x) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 e = ExpPolyAvx512(_mm512_add_ps(x, x));
+  return _mm512_div_ps(_mm512_sub_ps(e, one), _mm512_add_ps(e, one));
+}
+
+// v[i] = act(v[i]) over whole groups, then the masked last group.
+template <__m512 (*kAct)(__m512)>
+__attribute__((target("avx512f"))) void ActivateAvx512(float* v, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(v + i, kAct(_mm512_loadu_ps(v + i)));
+  }
+  if (i < n) {
+    const __mmask16 live = LowLanes(n - i);
+    _mm512_mask_storeu_ps(v + i, live,
+                          kAct(_mm512_maskz_loadu_ps(live, v + i)));
+  }
+}
+
+// LstmCellForward on the `live` units of the 16 from i. The whole groups
+// pass kAllLanes, under which GCC emits plain moves.
+__attribute__((target("avx512f"))) inline void CellGroupAvx512(
+    const float* u, const float* f, const float* o, const float* cand,
+    const float* ci, float* co, float* ho, size_t i, __mmask16 live) {
+  const __m512 c_new = _mm512_add_ps(
+      _mm512_mul_ps(_mm512_maskz_loadu_ps(live, u + i),
+                    _mm512_maskz_loadu_ps(live, cand + i)),
+      _mm512_mul_ps(_mm512_maskz_loadu_ps(live, f + i),
+                    _mm512_maskz_loadu_ps(live, ci + i)));
+  // The serving step updates the cell in place (ci == co), so ci is read
+  // before co is written.
+  _mm512_mask_storeu_ps(co + i, live, c_new);
+  _mm512_mask_storeu_ps(
+      ho + i, live,
+      _mm512_mul_ps(_mm512_maskz_loadu_ps(live, o + i), TanhPolyAvx512(c_new)));
+}
+
+__attribute__((target("avx512f"))) void LstmCellForwardAvx512(
+    const float* u, const float* f, const float* o, const float* cand,
+    const float* ci, float* co, float* ho, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    CellGroupAvx512(u, f, o, cand, ci, co, ho, i, kAllLanes);
+  }
+  if (i < n) CellGroupAvx512(u, f, o, cand, ci, co, ho, i, LowLanes(n - i));
+}
+
+// The live lanes of group g in a block of kGroups: all 16, except `tail`
+// in the last group.
+template <int kGroups>
+inline __mmask16 GroupLanes(int g, __mmask16 tail) {
+  return g == kGroups - 1 ? tail : kAllLanes;
+}
+
+// acc[g] += a[r * a_stride] * b[r * b_stride + 16 g + lane] for r ascending
+// over [r_begin, r_end), zero a entries skipped: the saxpy spec's terms on
+// up to 128 columns held in registers. Callers keep acc[] a local array
+// whose loops fully unroll, so it never leaves the registers.
+template <int kGroups>
+__attribute__((target("avx512f"))) inline void SaxpyAccAvx512(
+    __m512 (&acc)[kGroups], const float* a, size_t a_stride, const float* b,
+    size_t b_stride, size_t r_begin, size_t r_end, __mmask16 tail) {
+  for (size_t r = r_begin; r < r_end; ++r) {
+    const float av = a[r * a_stride];
+    if (av == 0.0f) continue;
+    const __m512 va = _mm512_set1_ps(av);
+    const float* b_row = b + r * b_stride;
+#pragma GCC unroll 8
+    for (int g = 0; g < kGroups; ++g) {
+      acc[g] = _mm512_add_ps(
+          acc[g], _mm512_mul_ps(va, _mm512_maskz_loadu_ps(
+                                        GroupLanes<kGroups>(g, tail),
+                                        b_row + 16 * g)));
+    }
+  }
+}
+
+// SaxpyBlockAvx2's sum on 16 * kGroups columns of c, the last group's
+// loads and store under `tail`.
+template <int kGroups>
+__attribute__((target("avx512f"))) void SaxpyBlockAvx512(
+    float* c, const float* a, size_t a_stride, const float* b,
+    size_t b_stride, size_t r_begin, size_t r_end, __mmask16 tail) {
+  __m512 acc[kGroups];
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) {
+    acc[g] = _mm512_maskz_loadu_ps(GroupLanes<kGroups>(g, tail), c + 16 * g);
+  }
+  SaxpyAccAvx512<kGroups>(acc, a, a_stride, b, b_stride, r_begin, r_end,
+                          tail);
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) {
+    _mm512_mask_storeu_ps(c + 16 * g, GroupLanes<kGroups>(g, tail), acc[g]);
+  }
+}
+
+// The block for the `rest` columns (1..128) left after the whole
+// 128-column blocks: ceil(rest / 16) groups from `blocks` (indexed by group
+// count - 1), the live lanes of the last one in *tail.
+template <typename Fn>
+Fn RestBlockAvx512(const Fn (&blocks)[8], int rest, __mmask16* tail) {
+  const int groups = (rest + 15) / 16;
+  *tail = LowLanes(static_cast<size_t>(rest - 16 * (groups - 1)));
+  return blocks[groups - 1];
+}
+
+using SaxpyBlockFn = void (*)(float*, const float*, size_t, const float*,
+                             size_t, size_t, size_t, __mmask16);
+constexpr SaxpyBlockFn kSaxpyBlocksAvx512[8] = {
+    SaxpyBlockAvx512<1>, SaxpyBlockAvx512<2>, SaxpyBlockAvx512<3>,
+    SaxpyBlockAvx512<4>, SaxpyBlockAvx512<5>, SaxpyBlockAvx512<6>,
+    SaxpyBlockAvx512<7>, SaxpyBlockAvx512<8>};
+
+// SaxpyRowAvx2's sum over all n columns of c: 128-column blocks, then one
+// block of the remaining groups.
+__attribute__((target("avx512f"))) void SaxpyRowAvx512(
+    float* c, int n, const float* a, size_t a_stride, const float* b,
+    size_t b_stride, size_t r_begin, size_t r_end) {
+  int nb = 0;
+  for (; nb + 128 <= n; nb += 128) {
+    SaxpyBlockAvx512<8>(c + nb, a, a_stride, b + nb, b_stride, r_begin, r_end,
+                        kAllLanes);
+  }
+  if (nb < n) {
+    __mmask16 tail;
+    const SaxpyBlockFn block =
+        RestBlockAvx512(kSaxpyBlocksAvx512, n - nb, &tail);
+    block(c + nb, a, a_stride, b + nb, b_stride, r_begin, r_end, tail);
+  }
+}
+
+__attribute__((target("avx512f"))) void MatMulRowsAvx512(
+    const float* A, const float* B, float* C, size_t row_begin,
+    size_t row_end, int k, int n) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    SaxpyRowAvx512(C + i * static_cast<size_t>(n), n,
+                   A + i * static_cast<size_t>(k), 1, B,
+                   static_cast<size_t>(n), 0, static_cast<size_t>(k));
+  }
+}
+
+// MatMulGradBRowsAvx2's i tiling around the zmm row sum.
+__attribute__((target("avx512f"))) void MatMulGradBRowsAvx512(
+    const float* A, const float* G, float* dB, int m, size_t k_begin,
+    size_t k_end, int k, int n) {
+  constexpr size_t kIBlock = 32;
+  const size_t rows = static_cast<size_t>(m);
+  for (size_t ib = 0; ib < rows; ib += kIBlock) {
+    const size_t ie = std::min(rows, ib + kIBlock);
+    for (size_t kk = k_begin; kk < k_end; ++kk) {
+      SaxpyRowAvx512(dB + kk * static_cast<size_t>(n), n, A + kk,
+                     static_cast<size_t>(k), G, static_cast<size_t>(n), ib,
+                     ie);
+    }
+  }
+}
+
+// One row's LstmGates sum on 16 * kGroups gate columns, the last group
+// under `tail`: wx, bias, wh and out point at the block's first column, and
+// n is the weights' row stride.
+template <int kGroups>
+__attribute__((target("avx512f"))) void LstmGatesBlockAvx512(
+    const float* x_row, const float* wx, const float* bias,
+    const float* h_row, const float* wh, float* out, int in_dim,
+    int hidden_dim, size_t n, __mmask16 tail) {
+  __m512 acc[kGroups];
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) acc[g] = _mm512_setzero_ps();
+  SaxpyAccAvx512<kGroups>(acc, x_row, 1, wx, n, 0,
+                          static_cast<size_t>(in_dim), tail);
+  // Bias joins between the two products, matching the scalar spec.
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) {
+    acc[g] = _mm512_add_ps(
+        acc[g],
+        _mm512_maskz_loadu_ps(GroupLanes<kGroups>(g, tail), bias + 16 * g));
+  }
+  SaxpyAccAvx512<kGroups>(acc, h_row, 1, wh, n, 0,
+                          static_cast<size_t>(hidden_dim), tail);
+#pragma GCC unroll 8
+  for (int g = 0; g < kGroups; ++g) {
+    _mm512_mask_storeu_ps(out + 16 * g, GroupLanes<kGroups>(g, tail), acc[g]);
+  }
+}
+
+using LstmGatesBlockFn = void (*)(const float*, const float*, const float*,
+                                  const float*, const float*, float*, int,
+                                  int, size_t, __mmask16);
+constexpr LstmGatesBlockFn kLstmGatesBlocksAvx512[8] = {
+    LstmGatesBlockAvx512<1>, LstmGatesBlockAvx512<2>, LstmGatesBlockAvx512<3>,
+    LstmGatesBlockAvx512<4>, LstmGatesBlockAvx512<5>, LstmGatesBlockAvx512<6>,
+    LstmGatesBlockAvx512<7>, LstmGatesBlockAvx512<8>};
+
+__attribute__((target("avx512f"))) void LstmGatesAvx512(
+    const float* x, const float* wx, const float* bias, const float* h,
+    const float* wh, float* gates, size_t row_begin, size_t row_end,
+    int in_dim, int hidden_dim, int n) {
+  const size_t stride = static_cast<size_t>(n);
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const float* x_row = x + i * static_cast<size_t>(in_dim);
+    const float* h_row = h + i * static_cast<size_t>(hidden_dim);
+    float* out = gates + i * stride;
+    int nb = 0;
+    for (; nb + 128 <= n; nb += 128) {
+      LstmGatesBlockAvx512<8>(x_row, wx + nb, bias + nb, h_row, wh + nb,
+                              out + nb, in_dim, hidden_dim, stride, kAllLanes);
+    }
+    if (nb < n) {
+      __mmask16 tail;
+      const LstmGatesBlockFn block =
+          RestBlockAvx512(kLstmGatesBlocksAvx512, n - nb, &tail);
+      block(x_row, wx + nb, bias + nb, h_row, wh + nb, out + nb, in_dim,
+            hidden_dim, stride, tail);
+    }
+  }
+}
+
 #endif  // SQLFACIL_X86
 
 }  // namespace
 
-bool HasAvx2() {
-#if SQLFACIL_X86
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
+Level GetLevel() {
+  int level = g_level.load(std::memory_order_relaxed);
+  if (level < 0) {
+    const int knob = GetSimdFromEnv();
+    const Level want = knob < 0 ? CpuLevel() : static_cast<Level>(knob);
+    int unset = -1;
+    level = static_cast<int>(std::min(want, CpuLevel()));
+    // A SetLevel that got here first wins.
+    if (!g_level.compare_exchange_strong(unset, level,
+                                         std::memory_order_relaxed)) {
+      level = unset;
+    }
+  }
+  return static_cast<Level>(level);
 }
 
-bool HasAvxVnni() {
-#if SQLFACIL_X86
-  return __builtin_cpu_supports("avxvnni") != 0;
-#else
-  return false;
-#endif
-}
-
-bool Enabled() {
-  InitOnce();
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void SetEnabled(bool on) {
-  InitOnce();
-  g_enabled.store(on && HasAvx2(), std::memory_order_relaxed);
+void SetLevel(Level level) {
+  g_level.store(static_cast<int>(std::min(level, CpuLevel())),
+                std::memory_order_relaxed);
 }
 
 std::string DispatchReport() {
-  InitOnce();
-  const bool avx2 = HasAvx2();
-  const bool on = g_enabled.load(std::memory_order_relaxed);
-  std::string report = "simd dispatch: avx2=";
-  report += avx2 ? "yes" : "no";
+  std::string report = "simd dispatch: cpu=";
+  report += LevelName(CpuLevel());
   report += " float-kernels=";
-  report += on ? "avx2" : "scalar";
+  report += LevelName(GetLevel());
   report += " int8-kernels=";
-  report += on ? (HasAvxVnni() ? "avx2+vnni" : "avx2") : "scalar";
+  report += Int8KernelPath();
   return report;
 }
 
@@ -946,84 +1231,98 @@ void LogDispatchOnce() {
 
 void Axpy(float* dst, const float* x, float a, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return AxpyAvx2(dst, x, a, n);
+  if (GetLevel() >= Level::kAvx2) return AxpyAvx2(dst, x, a, n);
 #endif
   AxpyScalar(dst, x, a, n);
 }
 
 void AddAcc(float* dst, const float* x, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return AddAccAvx2(dst, x, n);
+  if (GetLevel() >= Level::kAvx2) return AddAccAvx2(dst, x, n);
 #endif
   AddAccScalar(dst, x, n);
 }
 
 void SubAcc(float* dst, const float* x, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return SubAccAvx2(dst, x, n);
+  if (GetLevel() >= Level::kAvx2) return SubAccAvx2(dst, x, n);
 #endif
   SubAccScalar(dst, x, n);
 }
 
 void Mul(float* dst, const float* x, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return MulAvx2(dst, x, n);
+  if (GetLevel() >= Level::kAvx2) return MulAvx2(dst, x, n);
 #endif
   MulScalar(dst, x, n);
 }
 
 void MulAcc(float* dst, const float* x, const float* y, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return MulAccAvx2(dst, x, y, n);
+  if (GetLevel() >= Level::kAvx2) return MulAccAvx2(dst, x, y, n);
 #endif
   MulAccScalar(dst, x, y, n);
 }
 
 void Scale(float* dst, float s, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return ScaleAvx2(dst, s, n);
+  if (GetLevel() >= Level::kAvx2) return ScaleAvx2(dst, s, n);
 #endif
   ScaleScalar(dst, s, n);
 }
 
 void Relu(float* dst, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return ReluAvx2(dst, n);
+  if (GetLevel() >= Level::kAvx2) return ReluAvx2(dst, n);
 #endif
   ReluScalar(dst, n);
 }
 
 void SigmoidGradAcc(float* dst, const float* g, const float* y, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return SigmoidGradAccAvx2(dst, g, y, n);
+  if (GetLevel() >= Level::kAvx2) return SigmoidGradAccAvx2(dst, g, y, n);
 #endif
   SigmoidGradAccScalar(dst, g, y, n);
 }
 
 void TanhGradAcc(float* dst, const float* g, const float* y, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return TanhGradAccAvx2(dst, g, y, n);
+  if (GetLevel() >= Level::kAvx2) return TanhGradAccAvx2(dst, g, y, n);
 #endif
   TanhGradAccScalar(dst, g, y, n);
 }
 
 void ReluGradAcc(float* dst, const float* g, const float* y, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return ReluGradAccAvx2(dst, g, y, n);
+  if (GetLevel() >= Level::kAvx2) return ReluGradAccAvx2(dst, g, y, n);
 #endif
   ReluGradAccScalar(dst, g, y, n);
 }
 
 void SigmoidInPlace(float* v, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return SigmoidInPlaceAvx2(v, n);
+  switch (GetLevel()) {
+    case Level::kAvx512:
+      return ActivateAvx512<SigmoidPolyAvx512>(v, n);
+    case Level::kAvx2:
+      return SigmoidInPlaceAvx2(v, n);
+    case Level::kScalar:
+      break;
+  }
 #endif
   SigmoidInPlaceScalar(v, n);
 }
 
 void TanhInPlace(float* v, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return TanhInPlaceAvx2(v, n);
+  switch (GetLevel()) {
+    case Level::kAvx512:
+      return ActivateAvx512<TanhPolyAvx512>(v, n);
+    case Level::kAvx2:
+      return TanhInPlaceAvx2(v, n);
+    case Level::kScalar:
+      break;
+  }
 #endif
   TanhInPlaceScalar(v, n);
 }
@@ -1032,7 +1331,14 @@ void LstmCellForward(const float* u, const float* f, const float* o,
                      const float* cand, const float* ci, float* co, float* ho,
                      size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return LstmCellForwardAvx2(u, f, o, cand, ci, co, ho, n);
+  switch (GetLevel()) {
+    case Level::kAvx512:
+      return LstmCellForwardAvx512(u, f, o, cand, ci, co, ho, n);
+    case Level::kAvx2:
+      return LstmCellForwardAvx2(u, f, o, cand, ci, co, ho, n);
+    case Level::kScalar:
+      break;
+  }
 #endif
   LstmCellForwardScalar(u, f, o, cand, ci, co, ho, n);
 }
@@ -1042,9 +1348,16 @@ void LstmGates(const float* x, const float* wx, const float* bias,
                size_t row_begin, size_t row_end, int in_dim, int hidden_dim,
                int n) {
 #if SQLFACIL_X86
-  if (Enabled())
-    return LstmGatesAvx2(x, wx, bias, h, wh, gates, row_begin, row_end,
-                         in_dim, hidden_dim, n);
+  switch (GetLevel()) {
+    case Level::kAvx512:
+      return LstmGatesAvx512(x, wx, bias, h, wh, gates, row_begin, row_end,
+                             in_dim, hidden_dim, n);
+    case Level::kAvx2:
+      return LstmGatesAvx2(x, wx, bias, h, wh, gates, row_begin, row_end,
+                           in_dim, hidden_dim, n);
+    case Level::kScalar:
+      break;
+  }
 #endif
   LstmGatesScalar(x, wx, bias, h, wh, gates, row_begin, row_end, in_dim,
                   hidden_dim, n);
@@ -1055,7 +1368,7 @@ void LstmCellBackward(const float* u, const float* f, const float* o,
                       const float* dh, const float* dc, float* dgu, float* dgf,
                       float* dgo, float* dgc, float* dci, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled())
+  if (GetLevel() >= Level::kAvx2)
     return LstmCellBackwardAvx2(u, f, o, cand, co, ci, dh, dc, dgu, dgf, dgo,
                                 dgc, dci, n);
 #endif
@@ -1065,7 +1378,7 @@ void LstmCellBackward(const float* u, const float* f, const float* o,
 
 void SgdStep(float* w, const float* g, float lr, float wd, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return SgdStepAvx2(w, g, lr, wd, n);
+  if (GetLevel() >= Level::kAvx2) return SgdStepAvx2(w, g, lr, wd, n);
 #endif
   SgdStepScalar(w, g, lr, wd, n);
 }
@@ -1074,7 +1387,7 @@ void AdamStep(float* w, const float* g, float* m, float* v, float beta1,
               float beta2, float bc1, float bc2, float lr, float eps,
               float wd, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled())
+  if (GetLevel() >= Level::kAvx2)
     return AdamStepAvx2(w, g, m, v, beta1, beta2, bc1, bc2, lr, eps, wd, n);
 #endif
   AdamStepScalar(w, g, m, v, beta1, beta2, bc1, bc2, lr, eps, wd, n);
@@ -1084,7 +1397,7 @@ void AdaMaxStep(float* w, const float* g, float* m, float* u, float beta1,
                 float beta2, float bc1, float lr, float eps, float wd,
                 size_t n) {
 #if SQLFACIL_X86
-  if (Enabled())
+  if (GetLevel() >= Level::kAvx2)
     return AdaMaxStepAvx2(w, g, m, u, beta1, beta2, bc1, lr, eps, wd, n);
 #endif
   AdaMaxStepScalar(w, g, m, u, beta1, beta2, bc1, lr, eps, wd, n);
@@ -1092,7 +1405,7 @@ void AdaMaxStep(float* w, const float* g, float* m, float* u, float beta1,
 
 float Dot(const float* x, const float* y, size_t n) {
 #if SQLFACIL_X86
-  if (Enabled()) return DotAvx2(x, y, n);
+  if (GetLevel() >= Level::kAvx2) return DotAvx2(x, y, n);
 #endif
   return DotScalar(x, y, n);
 }
@@ -1100,7 +1413,14 @@ float Dot(const float* x, const float* y, size_t n) {
 void MatMulRows(const float* A, const float* B, float* C, size_t row_begin,
                 size_t row_end, int k, int n) {
 #if SQLFACIL_X86
-  if (Enabled()) return MatMulRowsAvx2(A, B, C, row_begin, row_end, k, n);
+  switch (GetLevel()) {
+    case Level::kAvx512:
+      return MatMulRowsAvx512(A, B, C, row_begin, row_end, k, n);
+    case Level::kAvx2:
+      return MatMulRowsAvx2(A, B, C, row_begin, row_end, k, n);
+    case Level::kScalar:
+      break;
+  }
 #endif
   constexpr int kTile = 128;
   for (int kb = 0; kb < k; kb += kTile) {
@@ -1123,7 +1443,7 @@ void MatMulRows(const float* A, const float* B, float* C, size_t row_begin,
 void MatMulGradARows(const float* G, const float* B, float* dA,
                      size_t row_begin, size_t row_end, int k, int n) {
 #if SQLFACIL_X86
-  if (Enabled())
+  if (GetLevel() >= Level::kAvx2)
     return MatMulGradARowsAvx2<false>(G, B, dA, row_begin, row_end, k, n);
 #endif
   for (size_t i = row_begin; i < row_end; ++i) {
@@ -1139,7 +1459,7 @@ void MatMulGradARows(const float* G, const float* B, float* dA,
 void MatMulGradARowsTo(const float* G, const float* B, float* dA,
                        size_t row_begin, size_t row_end, int k, int n) {
 #if SQLFACIL_X86
-  if (Enabled())
+  if (GetLevel() >= Level::kAvx2)
     return MatMulGradARowsAvx2<true>(G, B, dA, row_begin, row_end, k, n);
 #endif
   for (size_t i = row_begin; i < row_end; ++i) {
@@ -1155,8 +1475,14 @@ void MatMulGradARowsTo(const float* G, const float* B, float* dA,
 void MatMulGradBRows(const float* A, const float* G, float* dB, int m,
                      size_t k_begin, size_t k_end, int k, int n) {
 #if SQLFACIL_X86
-  if (Enabled())
-    return MatMulGradBRowsAvx2(A, G, dB, m, k_begin, k_end, k, n);
+  switch (GetLevel()) {
+    case Level::kAvx512:
+      return MatMulGradBRowsAvx512(A, G, dB, m, k_begin, k_end, k, n);
+    case Level::kAvx2:
+      return MatMulGradBRowsAvx2(A, G, dB, m, k_begin, k_end, k, n);
+    case Level::kScalar:
+      break;
+  }
 #endif
   for (int i = 0; i < m; ++i) {
     const float* a_row = A + static_cast<size_t>(i) * k;
@@ -1176,7 +1502,7 @@ void MaxOverTime(const float* X, size_t row_begin, size_t row_end, int k,
               static_cast<size_t>(k) * sizeof(float));
   if (argmax != nullptr) std::fill_n(argmax, k, static_cast<int>(row_begin));
 #if SQLFACIL_X86
-  if (Enabled())
+  if (GetLevel() >= Level::kAvx2)
     return MaxOverTimeRowsAvx2(X, row_begin + 1, row_end, k, out, argmax);
 #endif
   for (size_t i = row_begin + 1; i < row_end; ++i) {

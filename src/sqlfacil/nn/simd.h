@@ -6,44 +6,48 @@
 
 namespace sqlfacil::nn::simd {
 
-/// Runtime SIMD dispatch for the float kernels below. AVX2 variants are
-/// selected when the CPU supports AVX2 and SQLFACIL_SIMD is not 0; the
-/// scalar fallbacks are always available.
+/// Runtime SIMD dispatch for the float kernels below, in three levels:
+/// scalar, AVX2 (8-float ymm) and AVX-512 (16-float zmm). The AVX-512 level
+/// has zmm variants of the kernels the LSTM step and LSTM training run
+/// (MatMulRows, MatMulGradBRows, LstmGates, SigmoidInPlace, TanhInPlace,
+/// LstmCellForward); every other kernel runs its AVX2 variant there.
 ///
 /// Determinism contract (extends the thread-count contract of
-/// util/thread_pool.h): every kernel performs the same per-element IEEE
-/// operations in the same order on both paths, so results are bit-identical
-/// with SIMD on or off.
+/// util/thread_pool.h): the scalar kernels are the specification, and every
+/// vector variant performs the same per-element IEEE operations in the same
+/// order, so results are bit-identical at every level.
+///   - One rounding per multiply and one per add: FMA is never used. AVX-512F
+///     includes FMA, so the library builds with -ffp-contract=off and
+///     scripts/ci.sh fails on any FMA instruction in it.
 ///   - Elementwise kernels (Axpy, AddAcc, SubAcc, Mul, MulAcc, Scale, Relu)
 ///     touch each element independently; lane-parallel evaluation cannot
-///     reorder anything. FMA is deliberately never used: the scalar path
-///     rounds after the multiply and after the add, so the vector path must
-///     too (mul + add, not fused).
+///     reorder anything.
 ///   - Dot is a reduction and uses a fixed 8-lane decomposition: lane l
 ///     accumulates elements l, l+8, l+16, ... and the eight partials are
 ///     combined in one documented tree order. The scalar fallback implements
 ///     the identical decomposition, so the sum is bit-identical to the AVX2
 ///     accumulator-register version at any length.
-bool HasAvx2();
+///   - NaN: each max/min is the scalar std::max/std::min with its NaN and
+///     tie rules (std::max(a, b) is maxps(b, a)), so a NaN input gives NaN,
+///     or the same number, at every level. A NaN's sign and payload are not
+///     part of the contract: when two NaNs meet, x86 returns the first
+///     operand's, and the compiler orders commutative operands freely.
 
-/// True when the CPU additionally supports AVX-VNNI (vpdpbusd on 256-bit
-/// registers). Consulted only by the int8 no-saturation GEMM path
-/// (simd_int8.h Int8GemmRowsNoSat), whose +-63 weight precondition makes the
-/// fused instruction bit-identical to the quad-dot spec.
-bool HasAvxVnni();
+/// Dispatch levels, ordered: a level runs the variant of the highest level
+/// at or below it that a kernel has.
+enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// True when AVX2 kernels are dispatched. Initialized on first use from
-/// SQLFACIL_SIMD (1 = force on when supported, 0 = force scalar, unset =
-/// auto-detect).
-bool Enabled();
+/// The active dispatch level. Initialized on first use to the best level the
+/// CPU supports, capped by SQLFACIL_SIMD (0 scalar, 1 AVX2).
+Level GetLevel();
 
-/// Overrides dispatch at runtime (clamped to HasAvx2()); for tests and the
-/// SIMD on/off bench sweeps. Must not race with running kernels.
-void SetEnabled(bool on);
+/// Sets the dispatch level, clamped to the best level the CPU supports; for
+/// tests and benches. Must not race with running kernels.
+void SetLevel(Level level);
 
-/// One-line dispatch report: CPU capability, the float kernel path and the
-/// int8 kernel path, so a fall back to the scalar reference kernels is never
-/// silent.
+/// One-line dispatch report: the CPU's best level and the level the float
+/// and the int8 kernels run at, so a fall back to the scalar reference
+/// kernels is never silent.
 std::string DispatchReport();
 
 /// Logs DispatchReport() to stderr exactly once per process. The model
@@ -85,8 +89,9 @@ void ReluGradAcc(float* dst, const float* g, const float* y, size_t n);
 /// The polynomial IS the activation definition here, not an approximation
 /// detail: exp(x) = 2^n * P(r) with n = nearbyint(x*log2e), r the residual,
 /// and P a degree-7 Taylor of 2^r, all evaluated as the same fixed Horner
-/// mul/add sequence on both paths (accuracy vs libm ~1 ulp). Scalar and
-/// AVX2 therefore agree bit-for-bit, which libm's exp/tanh cannot promise.
+/// mul/add sequence at every level (accuracy vs libm ~1 ulp). All levels
+/// therefore agree bit-for-bit, which libm's exp/tanh cannot promise. A NaN
+/// input stays NaN (the clamp keeps it, and the scale is 2^0).
 void SigmoidInPlace(float* v, size_t n);
 
 /// v[i] = tanh(v[i]) as (e - 1) / (e + 1) on e = shared-poly exp(2*v[i]).
@@ -104,9 +109,9 @@ void LstmCellForward(const float* u, const float* f, const float* o,
 /// with Wx (in_dim x n) and Wh (hidden_dim x n) row-major. Per element the
 /// terms accumulate in exactly that order — Wx products k-ascending, then
 /// the bias, then Wh products k-ascending, one rounding per mul and per add,
-/// zero x/h entries skipped — on both paths, replacing the previous
-/// three-pass (MatMul, BiasAdd, MatMul + AddAcc) sequence with one
-/// register-resident sweep.
+/// zero x/h entries skipped — at every level, in one register-resident
+/// sweep (the AVX-512 variant holds all 128 gate columns of the 32-unit
+/// LSTM in eight zmm).
 void LstmGates(const float* x, const float* wx, const float* bias,
                const float* h, const float* wh, float* gates,
                size_t row_begin, size_t row_end, int in_dim, int hidden_dim,
@@ -147,8 +152,8 @@ void AdamStep(float* w, const float* g, float* m, float* v, float beta1,
 ///   m[i]  = b1*m[i] + (1-b1)*grad
 ///   u[i]  = max(b2*u[i], |grad|)
 ///   w[i] -= (lr * (m[i]/bc1)) / (u[i] + eps)
-/// max/fabs are exact bit operations; u stays non-negative so the ±0
-/// tie-break of maxps cannot diverge from std::max on finite inputs.
+/// max/fabs are exact bit operations, and the max is std::max's: a NaN
+/// grad leaves u[i] = b2*u[i] at every level (w[i] still turns NaN).
 void AdaMaxStep(float* w, const float* g, float* m, float* u, float beta1,
                 float beta2, float bc1, float lr, float eps, float wd,
                 size_t n);
@@ -158,20 +163,21 @@ float Dot(const float* x, const float* y, size_t n);
 
 /// C[rb..re) += A[rb..re) @ B for an (m x k) @ (k x n) product, saxpy form:
 /// C[i][j] += A[i][kk] * B[kk][j] for kk ascending, zero A entries skipped
-/// (exact: the skipped saxpy adds ±0). The AVX2 path keeps up to 64 columns
-/// of a C row in registers across the whole k loop, at every n; per output
-/// element the terms, their order and their roundings are those of the
-/// scalar spec, so the result is bit-identical across SIMD. Rows of C depend
-/// only on the same row of A, so any row partition yields identical bits.
+/// (exact: the skipped saxpy adds ±0). The vector paths keep up to 64 (AVX2)
+/// or 128 (AVX-512) columns of a C row in registers across the whole k loop,
+/// at every n; per output element the terms, their order and their roundings
+/// are those of the scalar spec, so the result is bit-identical at every
+/// level. Rows of C depend only on the same row of A, so any row partition
+/// yields identical bits.
 void MatMulRows(const float* A, const float* B, float* C, size_t row_begin,
                 size_t row_end, int k, int n);
 
 /// dA[rb..re) += G @ B^T for an (m x n) grad against a (k x n) B:
 /// dA[i][kk] += Dot(G[i, :], B[kk, :]). Row i of dA depends only on row i of
 /// G, so any row partition yields identical bits. Each element is the
-/// canonical Dot; the AVX2 path computes eight of them per pass over G[i, :]
-/// and combines their lanes in registers in Dot's tree order, so SIMD on/off
-/// is bit-identical too.
+/// canonical Dot; the AVX2 path (also used at the AVX-512 level) computes
+/// eight of them per pass over G[i, :] and combines their lanes in registers
+/// in Dot's tree order, so every level is bit-identical too.
 void MatMulGradARows(const float* G, const float* B, float* dA,
                      size_t row_begin, size_t row_end, int k, int n);
 
@@ -185,8 +191,8 @@ void MatMulGradARowsTo(const float* G, const float* B, float* dA,
 /// for i ascending over [0, m), dB[kk, :] += A[i][kk] * G[i, :]. Zero
 /// A[i][kk] entries are skipped (exact: the skipped axpy adds ±0). Each dB
 /// element accumulates its terms over i ascending for every kk partition,
-/// and the AVX2 path holds dB row blocks in registers as MatMulRows does,
-/// so the bits match across chunking and SIMD.
+/// and the vector paths hold dB row blocks in registers as MatMulRows does,
+/// so the bits match across chunking and levels.
 void MatMulGradBRows(const float* A, const float* G, float* dB, int m,
                      size_t k_begin, size_t k_end, int k, int n);
 

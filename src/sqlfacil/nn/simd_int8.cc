@@ -262,13 +262,38 @@ __attribute__((target("avx2"))) void Int8QuantizeAvx2(const float* x, size_t n,
 
 #endif  // SQLFACIL_X86
 
+// Int8GemmRowsNoSat's path at the active level: vpdpbusd when the CPU has
+// AVX-VNNI, else the AVX2 quad-dot, else the scalar spec.
+enum class NoSat { kScalar, kAvx2, kVnni };
+
+NoSat NoSatPath() {
+  if (GetLevel() == Level::kScalar) return NoSat::kScalar;
+#if SQLFACIL_INT8_VNNI
+  static const bool vnni = __builtin_cpu_supports("avxvnni") != 0;
+  if (vnni) return NoSat::kVnni;
+#endif
+  return NoSat::kAvx2;
+}
+
 }  // namespace
+
+const char* Int8KernelPath() {
+  switch (NoSatPath()) {
+    case NoSat::kVnni:
+      return "avx2+vnni";
+    case NoSat::kAvx2:
+      return "avx2";
+    case NoSat::kScalar:
+      break;
+  }
+  return "scalar";
+}
 
 void Int8GemmRows(const uint8_t* A, size_t a_stride, const int8_t* packedB,
                   int k4, int n_pad, int32_t* C, size_t c_stride,
                   size_t row_begin, size_t row_end) {
 #if SQLFACIL_X86
-  if (Enabled()) {
+  if (GetLevel() >= Level::kAvx2) {
     Int8GemmRowsAvx2(A, a_stride, packedB, k4, n_pad, C, c_stride, row_begin,
                      row_end);
     return;
@@ -281,21 +306,20 @@ void Int8GemmRows(const uint8_t* A, size_t a_stride, const int8_t* packedB,
 void Int8GemmRowsNoSat(const uint8_t* A, size_t a_stride,
                        const int8_t* packedB, int k4, int n_pad, int32_t* C,
                        size_t c_stride, size_t row_begin, size_t row_end) {
-#if SQLFACIL_X86
-  if (Enabled()) {
+  switch (NoSatPath()) {
 #if SQLFACIL_INT8_VNNI
-    static const bool vnni = HasAvxVnni();
-    if (vnni) {
-      Int8GemmRowsVnni(A, a_stride, packedB, k4, n_pad, C, c_stride,
-                       row_begin, row_end);
-      return;
-    }
+    case NoSat::kVnni:
+      return Int8GemmRowsVnni(A, a_stride, packedB, k4, n_pad, C, c_stride,
+                              row_begin, row_end);
 #endif
-    Int8GemmRowsAvx2(A, a_stride, packedB, k4, n_pad, C, c_stride, row_begin,
-                     row_end);
-    return;
+#if SQLFACIL_X86
+    case NoSat::kAvx2:
+      return Int8GemmRowsAvx2(A, a_stride, packedB, k4, n_pad, C, c_stride,
+                              row_begin, row_end);
+#endif
+    default:
+      break;
   }
-#endif
   Int8GemmRowsNoSatScalar(A, a_stride, packedB, k4, n_pad, C, c_stride,
                           row_begin, row_end);
 }
@@ -305,7 +329,7 @@ void Int8DequantRows(const int32_t* acc, size_t acc_stride,
                      size_t base_stride, float* out, size_t out_stride,
                      size_t row_begin, size_t row_end, int n) {
 #if SQLFACIL_X86
-  if (Enabled()) {
+  if (GetLevel() >= Level::kAvx2) {
     Int8DequantRowsAvx2(acc, acc_stride, col_corr, scale, base, base_stride,
                         out, out_stride, row_begin, row_end, n);
     return;
@@ -317,7 +341,7 @@ void Int8DequantRows(const int32_t* acc, size_t acc_stride,
 
 void Int8Quantize(const float* x, size_t n, float inv_scale, uint8_t* q) {
 #if SQLFACIL_X86
-  if (Enabled()) {
+  if (GetLevel() >= Level::kAvx2) {
     Int8QuantizeAvx2(x, n, inv_scale, q);
     return;
   }

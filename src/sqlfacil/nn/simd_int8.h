@@ -7,11 +7,11 @@
 namespace sqlfacil::nn::simd {
 
 /// Int8 kernel family of the quantized inference tier (see nn/quant.h for
-/// the numeric scheme). Dispatch follows the float kernels: the AVX2
-/// variants run when Enabled() (nn/simd.h), the scalar fallbacks are the
-/// spec and are bit-identical — for integer kernels trivially so (integer
-/// addition is exact and order-independent), for the dequant kernels by the
-/// usual one-rounding-per-op discipline.
+/// the numeric scheme). Dispatch follows the float kernels' level
+/// (nn/simd.h): the AVX2 variants run at both vector levels. The scalar
+/// fallbacks are the spec and are bit-identical — for integer kernels
+/// trivially so (integer addition is exact and order-independent), for the
+/// dequant kernels by the usual one-rounding-per-op discipline.
 ///
 /// The integer contract: an output element is
 ///   C[i][j] = sum over quads q of
@@ -59,6 +59,10 @@ void Int8DequantRows(const int32_t* acc, size_t acc_stride,
 /// Dispatched activation quantization; the scalar spec is
 /// quant::QuantizeActivations (nearbyintf == _mm256_round_ps nearest-even).
 void Int8Quantize(const float* x, size_t n, float inv_scale, uint8_t* q);
+
+/// Int8GemmRowsNoSat's path at the active level, for DispatchReport:
+/// "scalar", "avx2" or "avx2+vnni".
+const char* Int8KernelPath();
 
 }  // namespace sqlfacil::nn::simd
 

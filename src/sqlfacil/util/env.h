@@ -24,9 +24,9 @@ uint64_t GetSeedFromEnv(uint64_t fallback);
 /// default. 1 disables parallelism entirely.
 int GetThreadsFromEnv();
 
-/// Reads SQLFACIL_SIMD: 0 forces the scalar kernels, 1 requests the vector
-/// kernels (still subject to CPU support), unset/other returns -1 meaning
-/// auto-detect.
+/// Reads SQLFACIL_SIMD: a cap on the kernel dispatch level (nn/simd.h), 0
+/// scalar, 1 AVX2 (still subject to CPU support). Unset/other returns -1,
+/// meaning the best level the CPU has, which is the only way to AVX-512.
 int GetSimdFromEnv();
 
 /// Reads SQLFACIL_SNAPSHOT_DIR: the directory training snapshots are written

@@ -1,6 +1,6 @@
 // Verifies the parallelism determinism contract: training, prediction on
 // both precision tiers, and workload generation produce bit-identical
-// results at any thread count and with the SIMD kernels enabled or disabled.
+// results at any thread count and at every SIMD dispatch level.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
 #include "sqlfacil/workload/sdss.h"
+#include "simd_levels.h"
 #include "tiers.h"
 
 namespace sqlfacil {
@@ -109,29 +110,18 @@ TEST(DeterminismTest, LstmModelBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Restores the SIMD dispatch state a test toggled.
-class SimdGuard {
- public:
-  SimdGuard() : saved_(nn::simd::Enabled()) {}
-  ~SimdGuard() { nn::simd::SetEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 // The full contract sweep: every (simd, threads) combination must reproduce
 // the reference run bit for bit — training AND both prediction paths, on
 // the fp32 tier and on the int8 tier quantized at that combination.
 template <typename Model, typename Config>
 void SweepSimdAndThreads(const Config& config, const Dataset& train,
                          const Dataset& valid) {
-  SimdGuard guard;
+  SimdLevelGuard guard;
   // Per tier (0 = fp32, 1 = int8): the first combination's answers.
   std::vector<std::vector<float>> reference[2];
   std::vector<std::vector<float>> reference_batch[2];
-  for (bool simd_on : {false, true}) {
-    if (simd_on && !nn::simd::HasAvx2()) continue;
-    nn::simd::SetEnabled(simd_on);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
     for (int threads : {1, 2, 8}) {
       ThreadPool::SetGlobalThreads(threads);
       Model model(config);
@@ -156,10 +146,10 @@ void SweepSimdAndThreads(const Config& config, const Dataset& train,
           ASSERT_EQ(reference[tier][i].size(), preds[i].size());
           for (size_t c = 0; c < preds[i].size(); ++c) {
             EXPECT_EQ(reference[tier][i][c], preds[i][c])
-                << "simd=" << simd_on << " threads=" << threads
+                << SimdLevelTag(level) << " threads=" << threads
                 << " example " << i;
             EXPECT_EQ(reference_batch[tier][i][c], batch[i][c])
-                << "simd=" << simd_on << " threads=" << threads
+                << SimdLevelTag(level) << " threads=" << threads
                 << " batch example " << i;
           }
         }
@@ -243,13 +233,12 @@ models::MultiTaskDataset SyntheticMultiTask(size_t n, uint64_t seed) {
 template <typename Model, typename Data>
 void TrainingSweep(const typename Model::Config& config, const Data& train,
                    const Data& valid) {
-  SimdGuard guard;
+  SimdLevelGuard guard;
   std::string ref_bytes;
   std::vector<double> ref_history;
   bool have_reference = false;
-  for (bool simd_on : {false, true}) {
-    if (simd_on && !nn::simd::HasAvx2()) continue;
-    nn::simd::SetEnabled(simd_on);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
     for (int threads : {1, 2, 8}) {
       ThreadPool::SetGlobalThreads(threads);
       Model model(config);
@@ -270,13 +259,13 @@ void TrainingSweep(const typename Model::Config& config, const Data& train,
         continue;
       }
       EXPECT_EQ(ref_bytes, bytes)
-          << "trained weights diverged at simd=" << simd_on
+          << "trained weights diverged at " << SimdLevelTag(level)
           << " threads=" << threads;
       ASSERT_EQ(ref_history.size(), history.size());
       for (size_t e = 0; e < ref_history.size(); ++e) {
         EXPECT_EQ(ref_history[e], history[e])
-            << "valid loss diverged at epoch " << e << " simd=" << simd_on
-            << " threads=" << threads;
+            << "valid loss diverged at epoch " << e << " "
+            << SimdLevelTag(level) << " threads=" << threads;
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "sqlfacil/nn/optim.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/nn/tensor.h"
+#include "simd_levels.h"
 
 namespace sqlfacil::nn {
 namespace {
@@ -527,10 +528,10 @@ TEST(LstmFusedTest, MatchesLayerByLayerForwardAndGradients) {
 // The Kim-CNN forward (embedding -> unfold -> conv -> Relu -> max-over-time
 // -> concat -> head) through the nn::infer kernels that serve and validate
 // CnnModel must reproduce the autograd graph its training step builds, bit
-// for bit, under either SIMD dispatch. Sequences include -1 padding (zero
-// rows) and lengths that equal the widest window.
+// for bit, at every SIMD level. Sequences include -1 padding (zero rows)
+// and lengths that equal the widest window.
 TEST(InferTest, KimCnnForwardMatchesAutogradBitwise) {
-  const bool saved_simd = simd::Enabled();
+  SimdLevelGuard simd_guard;
   const int vocab = 20, d = 5, outputs = 3;
   const std::vector<int> widths = {2, 3, 4};
   const std::vector<std::vector<int>> queries = {
@@ -546,9 +547,8 @@ TEST(InferTest, KimCnnForwardMatchesAutogradBitwise) {
     std::vector<Linear> convs;
     for (int w : widths) convs.emplace_back(w * d, kernels, &rng);
     Linear head(feat_dim, outputs, &rng);
-    for (bool simd_on : {false, true}) {
-      if (simd_on && !simd::HasAvx2()) continue;
-      simd::SetEnabled(simd_on);
+    for (const simd::Level level : SupportedSimdLevels()) {
+      simd::SetLevel(level);
       for (const auto& ids : queries) {
         const Var e = emb.Lookup(ids);
         std::vector<Var> pooled;
@@ -585,26 +585,26 @@ TEST(InferTest, KimCnnForwardMatchesAutogradBitwise) {
         ASSERT_EQ(graph->value.size(), logits.size());
         for (int j = 0; j < outputs; ++j) {
           EXPECT_EQ(graph->value.data()[j], logits[j])
-              << "logit " << j << " simd=" << simd_on << " length " << t
-              << " kernels " << kernels;
+              << "logit " << j << " " << SimdLevelTag(level) << " length "
+              << t << " kernels " << kernels;
         }
       }
     }
   }
-  simd::SetEnabled(saved_simd);
 }
 
 // The LSTM serving forward (LstmForward: the shared-prefix step plan, layer
 // 0 started from BuildLstmXTable's rows) against each sequence run alone
 // through the unfolded math: embedding row -> LstmGates (x @ Wx, bias,
 // h @ Wh) -> sigmoid/tanh -> LstmCellForward per layer, then the head's
-// MatMul + BiasAdd. Bit for bit under either SIMD dispatch, on buckets
-// whose rows share prefixes, repeat, end inside one another, or share no
-// first token; the calibration's max|h| must match as well. Hidden sizes 5
-// and 16 run the gate kernels' 8-column groups with a scalar tail and a
-// full 64-column block.
+// MatMul + BiasAdd. Bit for bit at every SIMD level, on buckets whose rows
+// share prefixes, repeat, end inside one another, or share no first token;
+// the calibration's max|h| must match as well. Hidden sizes 5, 16 and 32
+// run the AVX2 gate kernels' 8-column groups with a scalar tail and full
+// 64-column blocks, and the AVX-512 ones' masked last group, whole groups
+// and one full 128-column block.
 TEST(InferTest, LstmServingForwardMatchesPerRowReference) {
-  const bool saved_simd = simd::Enabled();
+  SimdLevelGuard simd_guard;
   const int vocab = 12, d = 5, layers = 3, outputs = 3;
   // Each bucket ascends by length, the order the forward steps on.
   const std::vector<std::vector<std::vector<int>>> buckets = {
@@ -617,15 +617,14 @@ TEST(InferTest, LstmServingForwardMatchesPerRowReference) {
       // A single row.
       {{5, 5, 5}},
   };
-  for (const int hidden : {5, 16}) {
+  for (const int hidden : {5, 16, 32}) {
     Rng rng(43);
     Embedding emb(vocab, d, &rng);
     LstmStack stack(d, hidden, layers, &rng);
     Linear head(hidden, outputs, &rng);
     const int gate_cols = 4 * hidden;
-    for (bool simd_on : {false, true}) {
-      if (simd_on && !simd::HasAvx2()) continue;
-      simd::SetEnabled(simd_on);
+    for (const simd::Level level : SupportedSimdLevels()) {
+      simd::SetLevel(level);
       const std::vector<float> x_table =
           BuildLstmXTable(emb.table->value, stack.layers[0]);
       for (const auto& seqs : buckets) {
@@ -678,14 +677,13 @@ TEST(InferTest, LstmServingForwardMatchesPerRowReference) {
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ(got[i], want[i])
               << "row " << i / outputs << " output " << i % outputs
-              << " hidden " << hidden << " simd=" << simd_on;
+              << " hidden " << hidden << " " << SimdLevelTag(level);
         }
         EXPECT_EQ(got_max, want_max)
-            << "hidden " << hidden << " simd=" << simd_on;
+            << "hidden " << hidden << " " << SimdLevelTag(level);
       }
     }
   }
-  simd::SetEnabled(saved_simd);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include "sqlfacil/util/drain.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "simd_levels.h"
 #include "tiers.h"
 
 namespace sqlfacil {
@@ -34,15 +35,6 @@ namespace {
 using models::Dataset;
 using models::TaskKind;
 using nn::quant::QuantizedTensor;
-
-class SimdGuard {
- public:
-  SimdGuard() : saved_(nn::simd::Enabled()) {}
-  ~SimdGuard() { nn::simd::SetEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 Dataset SyntheticClassification(size_t n, uint64_t seed) {
   Dataset data;
@@ -98,7 +90,7 @@ TEST(QuantTest, WeightRoundTripWithinHalfStep) {
 }
 
 TEST(QuantTest, ActivationQuantScalarVsAvx2BitIdentical) {
-  SimdGuard guard;
+  SimdLevelGuard guard;
   Rng rng(9);
   const size_t n = 1003;  // odd length exercises the vector tail
   std::vector<float> x(n);
@@ -107,14 +99,14 @@ TEST(QuantTest, ActivationQuantScalarVsAvx2BitIdentical) {
   x[1] = 1e30f;    // clamps to +127
   x[2] = -1e30f;   // clamps to -127
   const float inv_scale = 127.0f / 3.0f;
-  std::vector<uint8_t> spec(n), scalar(n), vec(n);
+  std::vector<uint8_t> spec(n);
   nn::quant::QuantizeActivations(x.data(), n, inv_scale, spec.data());
-  nn::simd::SetEnabled(false);
-  nn::simd::Int8Quantize(x.data(), n, inv_scale, scalar.data());
-  nn::simd::SetEnabled(true);
-  nn::simd::Int8Quantize(x.data(), n, inv_scale, vec.data());
-  EXPECT_EQ(spec, scalar);
-  EXPECT_EQ(spec, vec);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
+    std::vector<uint8_t> got(n);
+    nn::simd::Int8Quantize(x.data(), n, inv_scale, got.data());
+    EXPECT_EQ(spec, got) << SimdLevelTag(level);
+  }
 }
 
 // Reference quad-dot per the documented contract: per quad
@@ -140,7 +132,7 @@ std::vector<int32_t> RefGemm(const std::vector<uint8_t>& A, size_t a_stride,
 }
 
 TEST(QuantTest, GemmScalarVsAvx2BitIdentical) {
-  SimdGuard guard;
+  SimdLevelGuard guard;
   Rng rng(17);
   const int m = 5, k = 45, n = 21;  // ragged: quad tail + column tail
   std::vector<float> w(static_cast<size_t>(k) * n);
@@ -150,27 +142,27 @@ TEST(QuantTest, GemmScalarVsAvx2BitIdentical) {
   std::vector<uint8_t> A(static_cast<size_t>(m) * a_stride);
   for (auto& v : A) v = static_cast<uint8_t>(rng.UniformInt(0, 255));
   const std::vector<int32_t> ref = RefGemm(A, a_stride, W, m);
-  std::vector<int32_t> scalar(ref.size()), vec(ref.size());
-  nn::simd::SetEnabled(false);
-  nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4, W.n_pad,
-                         scalar.data(), W.n_pad, 0, m);
-  nn::simd::SetEnabled(true);
-  nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4, W.n_pad,
-                         vec.data(), W.n_pad, 0, m);
-  EXPECT_EQ(ref, scalar);
-  EXPECT_EQ(ref, vec);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
+    std::vector<int32_t> got(ref.size());
+    nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4,
+                           W.n_pad, got.data(), W.n_pad, 0, m);
+    EXPECT_EQ(ref, got) << SimdLevelTag(level);
+  }
 }
 
 TEST(QuantTest, GemmNoSatMatchesSaturatingSpec) {
   // Int8GemmRowsNoSat carries the QuantizedTensor +-63 precondition, under
   // which the sat16 can never clip — so every dispatch path (scalar exact
-  // dot, AVX2 quad-dot, AVX-VNNI vpdpbusd where the CPU has it) must agree
-  // bit-for-bit with the saturating spec kernel. Odd shapes exercise the
-  // chunked kernels' quad and column tails.
-  SimdGuard guard;
+  // dot, AVX2 quad-dot, vpdpbusd on ymm or zmm where the CPU has it) must
+  // agree bit-for-bit with the saturating spec kernel. Odd shapes exercise
+  // the chunked kernels' quad and column tails: 8 and 72 padded columns end
+  // in a half-masked zmm block, and 136 follows a whole 128-column chunk
+  // with one.
+  SimdLevelGuard guard;
   Rng rng(23);
-  for (const auto& [m, k, n] :
-       {std::tuple{1, 32, 128}, {3, 70, 9}, {2, 130, 72}}) {
+  for (const auto& [m, k, n] : {std::tuple{1, 32, 128}, {3, 70, 9},
+                                {2, 130, 72}, {2, 16, 3}, {1, 32, 136}}) {
     std::vector<float> w(static_cast<size_t>(k) * n);
     for (auto& v : w) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
     const QuantizedTensor W = nn::quant::QuantizeWeights(w.data(), k, n);
@@ -180,22 +172,21 @@ TEST(QuantTest, GemmNoSatMatchesSaturatingSpec) {
     std::vector<int32_t> ref(static_cast<size_t>(m) * W.n_pad);
     nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4, W.n_pad,
                            ref.data(), W.n_pad, 0, m);
-    std::vector<int32_t> scalar(ref.size()), vec(ref.size());
-    nn::simd::SetEnabled(false);
-    nn::simd::Int8GemmRowsNoSat(A.data(), a_stride, W.packed.data(), W.k4,
-                                W.n_pad, scalar.data(), W.n_pad, 0, m);
-    nn::simd::SetEnabled(true);
-    nn::simd::Int8GemmRowsNoSat(A.data(), a_stride, W.packed.data(), W.k4,
-                                W.n_pad, vec.data(), W.n_pad, 0, m);
-    EXPECT_EQ(ref, scalar) << m << "x" << k << "x" << n;
-    EXPECT_EQ(ref, vec) << m << "x" << k << "x" << n;
+    for (const nn::simd::Level level : SupportedSimdLevels()) {
+      nn::simd::SetLevel(level);
+      std::vector<int32_t> got(ref.size());
+      nn::simd::Int8GemmRowsNoSat(A.data(), a_stride, W.packed.data(), W.k4,
+                                  W.n_pad, got.data(), W.n_pad, 0, m);
+      EXPECT_EQ(ref, got) << m << "x" << k << "x" << n << " "
+                          << SimdLevelTag(level);
+    }
   }
 }
 
 TEST(QuantTest, GemmSaturationParity) {
   // Hand-built +-127 codes (outside what QuantizeWeights emits) force the
   // pairwise s16 saturation; scalar Sat16 and maddubs must clip alike.
-  SimdGuard guard;
+  SimdLevelGuard guard;
   QuantizedTensor W;
   W.k = 8;
   W.n = 8;
@@ -208,15 +199,13 @@ TEST(QuantTest, GemmSaturationParity) {
   const size_t a_stride = 8;
   std::vector<uint8_t> A(a_stride, 255);
   const std::vector<int32_t> ref = RefGemm(A, a_stride, W, 1);
-  std::vector<int32_t> scalar(ref.size()), vec(ref.size());
-  nn::simd::SetEnabled(false);
-  nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4, W.n_pad,
-                         scalar.data(), W.n_pad, 0, 1);
-  nn::simd::SetEnabled(true);
-  nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4, W.n_pad,
-                         vec.data(), W.n_pad, 0, 1);
-  EXPECT_EQ(ref, scalar);
-  EXPECT_EQ(ref, vec);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
+    std::vector<int32_t> got(ref.size());
+    nn::simd::Int8GemmRows(A.data(), a_stride, W.packed.data(), W.k4,
+                           W.n_pad, got.data(), W.n_pad, 0, 1);
+    EXPECT_EQ(ref, got) << SimdLevelTag(level);
+  }
 }
 
 // --- model-level tests -----------------------------------------------------
@@ -240,7 +229,7 @@ void ExpectAllBitIdentical(const std::vector<std::vector<float>>& a,
 }
 
 TEST(QuantTest, LstmInt8BitIdenticalAcrossThreadsAndSimd) {
-  SimdGuard simd_guard;
+  SimdLevelGuard simd_guard;
   const Dataset train = SyntheticClassification(60, 33);
   const Dataset valid = SyntheticClassification(24, 44);
   models::LstmModel::Config config;
@@ -257,16 +246,16 @@ TEST(QuantTest, LstmInt8BitIdenticalAcrossThreadsAndSimd) {
   EXPECT_GT(model.hidden_scale(), 0.0f);
 
   ThreadPool::SetGlobalThreads(1);
-  nn::simd::SetEnabled(false);
+  nn::simd::SetLevel(nn::simd::Level::kScalar);
   const auto ref = PredictAll(model, valid);
   for (int threads : {1, 2, 8}) {
-    for (bool simd_on : {false, true}) {
+    for (const nn::simd::Level level : SupportedSimdLevels()) {
       ThreadPool::SetGlobalThreads(threads);
-      nn::simd::SetEnabled(simd_on);
+      nn::simd::SetLevel(level);
       const auto got = PredictAll(model, valid);
       ExpectAllBitIdentical(ref, got,
                             "threads=" + std::to_string(threads) +
-                                " simd=" + std::to_string(simd_on));
+                                " " + SimdLevelTag(level));
     }
   }
   // Predict (a batch of one) is bit-identical to the batched path.
@@ -310,7 +299,7 @@ TEST(QuantTest, LstmInt8CloseToFp32) {
 }
 
 TEST(QuantTest, CnnInt8BitIdenticalAcrossThreadsAndSimdAndCloseToFp32) {
-  SimdGuard simd_guard;
+  SimdLevelGuard simd_guard;
   const Dataset train = SyntheticClassification(60, 13);
   const Dataset valid = SyntheticClassification(24, 14);
   models::CnnModel::Config config;
@@ -327,16 +316,16 @@ TEST(QuantTest, CnnInt8BitIdenticalAcrossThreadsAndSimdAndCloseToFp32) {
   ASSERT_TRUE(model.Quantize({}).ok());
   ASSERT_TRUE(model.quantized());
   ThreadPool::SetGlobalThreads(1);
-  nn::simd::SetEnabled(false);
+  nn::simd::SetLevel(nn::simd::Level::kScalar);
   const auto ref = PredictAll(model, valid);
   for (int threads : {1, 2, 8}) {
-    for (bool simd_on : {false, true}) {
+    for (const nn::simd::Level level : SupportedSimdLevels()) {
       ThreadPool::SetGlobalThreads(threads);
-      nn::simd::SetEnabled(simd_on);
+      nn::simd::SetLevel(level);
       const auto got = PredictAll(model, valid);
       ExpectAllBitIdentical(ref, got,
                             "threads=" + std::to_string(threads) +
-                                " simd=" + std::to_string(simd_on));
+                                " " + SimdLevelTag(level));
     }
   }
   // Predict routes through the int8 batch path (bit-identical).

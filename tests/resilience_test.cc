@@ -33,6 +33,7 @@
 #include "sqlfacil/workload/labeler.h"
 #include "sqlfacil/workload/querygen.h"
 #include "sqlfacil/workload/sdss_catalog.h"
+#include "simd_levels.h"
 #include "tiers.h"
 
 namespace sqlfacil {
@@ -778,15 +779,6 @@ TEST(ResilienceEndToEndTest, ForcedPrimaryOutageServesBaselineAnswers) {
 
 // --- Determinism under faults ----------------------------------------------
 
-class SimdGuard {
- public:
-  SimdGuard() : saved_(nn::simd::Enabled()) {}
-  ~SimdGuard() { nn::simd::SetEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 // The PR 1-3 contract extended to fault handling: with a fixed failpoint
 // configuration, the tier chosen for every query and the bits of every
 // prediction are identical across thread counts and SIMD dispatch. The
@@ -798,13 +790,12 @@ TEST(FaultDeterminismTest, DegradedServingBitIdenticalAcrossSimdAndThreads) {
   const auto batch_a = SyntheticClassification(8, 113).statements;
   const auto batch_b = SyntheticClassification(8, 114).statements;
 
-  SimdGuard guard;
+  SimdLevelGuard guard;
   std::vector<Tier> ref_tiers;
   std::vector<std::vector<float>> ref_preds;
   bool have_reference = false;
-  for (bool simd_on : {false, true}) {
-    if (simd_on && !nn::simd::HasAvx2()) continue;
-    nn::simd::SetEnabled(simd_on);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
     for (int threads : {1, 2, 8}) {
       ThreadPool::SetGlobalThreads(threads);
       models::TfidfModel::Config config;
@@ -836,15 +827,15 @@ TEST(FaultDeterminismTest, DegradedServingBitIdenticalAcrossSimdAndThreads) {
       ASSERT_EQ(ref_tiers.size(), tiers.size());
       for (size_t i = 0; i < ref_tiers.size(); ++i) {
         EXPECT_EQ(ref_tiers[i], tiers[i])
-            << "tier diverged at simd=" << simd_on << " threads=" << threads
-            << " response " << i;
+            << "tier diverged at " << SimdLevelTag(level)
+            << " threads=" << threads << " response " << i;
       }
       ASSERT_EQ(ref_preds.size(), preds.size());
       for (size_t i = 0; i < ref_preds.size(); ++i) {
         ASSERT_EQ(ref_preds[i].size(), preds[i].size());
         for (size_t c = 0; c < ref_preds[i].size(); ++c) {
           EXPECT_EQ(ref_preds[i][c], preds[i][c])
-              << "prediction diverged at simd=" << simd_on
+              << "prediction diverged at " << SimdLevelTag(level)
               << " threads=" << threads << " response " << i;
         }
       }

@@ -26,6 +26,7 @@
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "simd_levels.h"
 #include "tiers.h"
 
 namespace sqlfacil {
@@ -96,15 +97,6 @@ std::string Bytes(const Model& model) {
 // RAII: the drain flag is process-global; leave every test with it clear.
 struct DrainGuard {
   ~DrainGuard() { train::ClearDrain(); }
-};
-
-class SimdGuard {
- public:
-  SimdGuard() : saved_(nn::simd::Enabled()) {}
-  ~SimdGuard() { nn::simd::SetEnabled(saved_); }
-
- private:
-  bool saved_;
 };
 
 // A unique per-test snapshot directory, emptied of any earlier snapshots
@@ -265,13 +257,13 @@ TEST(ResumeTest, MultitaskStepwiseResumeBitIdentical) {
   EmptyValidKeepsLastEpoch<MultiTaskCnnModel>(config, train_set);
 }
 
-// A snapshot taken at 8 threads must resume bit-identically at 1 thread
-// with the other SIMD dispatch — thread count and SIMD are excluded from
-// the fingerprint because the determinism contract makes them
-// output-invariant.
+// A snapshot taken at 8 threads at any SIMD level must resume
+// bit-identically at 1 thread on the scalar kernels — thread count and SIMD
+// level are excluded from the fingerprint because the determinism contract
+// makes them output-invariant.
 TEST(ResumeTest, CrossThreadCrossSimdResumeBitIdentical) {
   DrainGuard drain_guard;
-  SimdGuard simd_guard;
+  SimdLevelGuard simd_guard;
   const Dataset train_set = SyntheticClassification(18, 205);
   const Dataset valid_set = SyntheticClassification(6, 206);
   models::CnnModel::Config config;
@@ -283,35 +275,38 @@ TEST(ResumeTest, CrossThreadCrossSimdResumeBitIdentical) {
   config.batch_size = 6;
 
   ThreadPool::SetGlobalThreads(1);
-  nn::simd::SetEnabled(false);
+  nn::simd::SetLevel(nn::simd::Level::kScalar);
   models::CnnModel reference(config);
   {
     Rng rng(7);
     reference.Fit(train_set, valid_set, &rng);
   }
 
-  config.snapshot.dir = FreshDir("xthread");
-  config.snapshot.every = 1;
-  // Interrupt a few steps at 8 threads (SIMD wherever available)...
-  ThreadPool::SetGlobalThreads(8);
-  nn::simd::SetEnabled(nn::simd::HasAvx2());
-  for (int i = 0; i < 3; ++i) {
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    config.snapshot.dir =
+        FreshDir("xthread" + std::to_string(static_cast<int>(level)));
+    config.snapshot.every = 1;
+    // Interrupt a few steps at 8 threads at this level...
+    ThreadPool::SetGlobalThreads(8);
+    nn::simd::SetLevel(level);
+    for (int i = 0; i < 3; ++i) {
+      train::ClearDrain();
+      train::RequestDrain();
+      models::CnnModel step(config);
+      Rng rng(7);
+      step.Fit(train_set, valid_set, &rng);
+    }
+    // ...and finish serial/scalar.
     train::ClearDrain();
-    train::RequestDrain();
-    models::CnnModel step(config);
-    Rng rng(7);
-    step.Fit(train_set, valid_set, &rng);
+    ThreadPool::SetGlobalThreads(1);
+    nn::simd::SetLevel(nn::simd::Level::kScalar);
+    models::CnnModel resumed(config);
+    {
+      Rng rng(7);
+      resumed.Fit(train_set, valid_set, &rng);
+    }
+    EXPECT_EQ(Bytes(reference), Bytes(resumed)) << SimdLevelTag(level);
   }
-  // ...and finish serial/scalar.
-  train::ClearDrain();
-  ThreadPool::SetGlobalThreads(1);
-  nn::simd::SetEnabled(false);
-  models::CnnModel resumed(config);
-  {
-    Rng rng(7);
-    resumed.Fit(train_set, valid_set, &rng);
-  }
-  EXPECT_EQ(Bytes(reference), Bytes(resumed));
   ThreadPool::SetGlobalThreads(1);
 }
 
@@ -592,26 +587,24 @@ void OptimizerRoundTrip(CtorArgs... ctor_args) {
 }
 
 template <typename Opt, typename... CtorArgs>
-void OptimizerRoundTripBothKernelPaths(CtorArgs... ctor_args) {
-  SimdGuard guard;
-  nn::simd::SetEnabled(false);
-  OptimizerRoundTrip<Opt>(ctor_args...);
-  if (nn::simd::HasAvx2()) {
-    nn::simd::SetEnabled(true);
+void OptimizerRoundTripAtEveryLevel(CtorArgs... ctor_args) {
+  SimdLevelGuard guard;
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    nn::simd::SetLevel(level);
     OptimizerRoundTrip<Opt>(ctor_args...);
   }
 }
 
 TEST(OptimizerStateTest, AdamRoundTripStepsBitIdentical) {
-  OptimizerRoundTripBothKernelPaths<nn::Adam>(1e-2f);
+  OptimizerRoundTripAtEveryLevel<nn::Adam>(1e-2f);
 }
 
 TEST(OptimizerStateTest, AdaMaxRoundTripStepsBitIdentical) {
-  OptimizerRoundTripBothKernelPaths<nn::AdaMax>(2e-2f);
+  OptimizerRoundTripAtEveryLevel<nn::AdaMax>(2e-2f);
 }
 
 TEST(OptimizerStateTest, SgdRoundTripStepsBitIdentical) {
-  OptimizerRoundTripBothKernelPaths<nn::Sgd>(1e-2f, 1e-4f);
+  OptimizerRoundTripAtEveryLevel<nn::Sgd>(1e-2f, 1e-4f);
 }
 
 TEST(OptimizerStateTest, LoadRejectsMismatchedStateUntouched) {

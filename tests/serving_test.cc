@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -39,6 +40,7 @@
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+#include "simd_levels.h"
 #include "tiers.h"
 
 namespace sqlfacil {
@@ -134,129 +136,279 @@ TEST(ArenaTest, AllocZeroZeroes) {
 }
 
 // --- SIMD kernels ----------------------------------------------------------
+//
+// Every float kernel in nn/simd.h against its scalar spec at each vector
+// level this host supports, compared bitwise (EXPECT_EQ on floats would let
+// -0 match +0, and NaN never equals itself). A NaN must come out NaN, but
+// its sign and payload are not part of the contract: when two NaNs meet,
+// x86 returns the first operand's, and the compiler may order the operands
+// of a commutative operation either way.
 
-class SimdGuard {
- public:
-  SimdGuard() : saved_(nn::simd::Enabled()) {}
-  ~SimdGuard() { nn::simd::SetEnabled(saved_); }
+// Lengths and column counts straddle the 8- and 16-lane groups and the
+// 64- and 128-column register blocks.
+constexpr size_t kSimdLengths[] = {1,  7,  8,   9,   15,  16, 17,
+                                   31, 48, 100, 128, 129, 136};
 
- private:
-  bool saved_;
-};
-
-TEST(SimdTest, KernelsBitIdenticalAcrossDispatch) {
-  if (!nn::simd::HasAvx2()) GTEST_SKIP() << "no AVX2 on this host";
-  SimdGuard guard;
-  Rng rng(123);
-  // Lengths straddle the 8-lane boundary, including scalar-tail cases.
-  for (size_t n : {1, 7, 8, 9, 31, 64, 100}) {
-    std::vector<float> x(n), y(n), base(n);
-    for (size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<float>(rng.Uniform(-2.0, 2.0));
-      y[i] = static_cast<float>(rng.Uniform(-2.0, 2.0));
-      base[i] = static_cast<float>(rng.Uniform(-2.0, 2.0));
+// NaN, ±inf, ±0, a denormal, ±FLT_MAX and the shared exp's clamp edges:
+// z = x * log2e reaches ±43 at x = ±43 / log2e (tanh doubles its input, so
+// also at half that), with the neighbouring floats on either side.
+std::vector<float> SpecialValues() {
+  const float log2e = 1.442695040888963f;
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> v = {std::nanf(""), -std::nanf(""), inf, -inf, 0.0f,
+                          -0.0f, 1e-40f, std::numeric_limits<float>::max(),
+                          -std::numeric_limits<float>::max()};
+  for (const float edge : {43.0f / log2e, 21.5f / log2e}) {
+    for (const float x : {edge, -edge}) {
+      v.push_back(x);
+      v.push_back(std::nextafter(x, inf));
+      v.push_back(std::nextafter(x, -inf));
     }
-    auto run = [&](bool simd_on) {
-      nn::simd::SetEnabled(simd_on);
-      struct Out {
-        std::vector<float> axpy, add, sub, mul, mulacc, scale, relu;
-        float dot;
-      } out;
-      out.axpy = base;
-      nn::simd::Axpy(out.axpy.data(), x.data(), 1.7f, n);
-      out.add = base;
-      nn::simd::AddAcc(out.add.data(), x.data(), n);
-      out.sub = base;
-      nn::simd::SubAcc(out.sub.data(), x.data(), n);
-      out.mul = base;
-      nn::simd::Mul(out.mul.data(), x.data(), n);
-      out.mulacc = base;
-      nn::simd::MulAcc(out.mulacc.data(), x.data(), y.data(), n);
-      out.scale = base;
-      nn::simd::Scale(out.scale.data(), 0.3f, n);
-      out.relu = base;
-      nn::simd::Relu(out.relu.data(), n);
-      out.dot = nn::simd::Dot(x.data(), y.data(), n);
-      return out;
-    };
-    const auto scalar = run(false);
-    const auto avx2 = run(true);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(scalar.axpy[i], avx2.axpy[i]) << "axpy n=" << n;
-      EXPECT_EQ(scalar.add[i], avx2.add[i]) << "add n=" << n;
-      EXPECT_EQ(scalar.sub[i], avx2.sub[i]) << "sub n=" << n;
-      EXPECT_EQ(scalar.mul[i], avx2.mul[i]) << "mul n=" << n;
-      EXPECT_EQ(scalar.mulacc[i], avx2.mulacc[i]) << "mulacc n=" << n;
-      EXPECT_EQ(scalar.scale[i], avx2.scale[i]) << "scale n=" << n;
-      EXPECT_EQ(scalar.relu[i], avx2.relu[i]) << "relu n=" << n;
+  }
+  return v;
+}
+
+// n uniform values in [lo, hi), about a quarter of them special.
+std::vector<float> KernelInput(Rng* rng, size_t n, double lo, double hi) {
+  static const std::vector<float> special = SpecialValues();
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = static_cast<float>(rng->Uniform(lo, hi));
+    if (rng->Uniform(0.0, 1.0) < 0.25) {
+      x = special[rng->UniformInt(0, static_cast<int>(special.size()) - 1)];
     }
-    EXPECT_EQ(scalar.dot, avx2.dot) << "dot n=" << n;
+  }
+  return v;
+}
+
+uint32_t FloatBits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+bool SameBitsOrBothNan(float a, float b) {
+  return FloatBits(a) == FloatBits(b) || (std::isnan(a) && std::isnan(b));
+}
+
+using Buffers = std::vector<std::vector<float>>;
+
+// Runs `kernel` on a copy of `init` at the scalar level (the spec) and at
+// every vector level, and expects each output bit-identical to the spec, a
+// NaN's payload aside.
+template <typename Kernel>
+void ExpectSpecBits(const std::string& what, const Buffers& init,
+                    const Kernel& kernel) {
+  SimdLevelGuard guard;
+  nn::simd::SetLevel(nn::simd::Level::kScalar);
+  Buffers spec = init;
+  kernel(spec);
+  for (const nn::simd::Level level : SupportedSimdLevels()) {
+    if (level == nn::simd::Level::kScalar) continue;
+    nn::simd::SetLevel(level);
+    Buffers got = init;
+    kernel(got);
+    for (size_t b = 0; b < spec.size(); ++b) {
+      for (size_t i = 0; i < spec[b].size(); ++i) {
+        if (!SameBitsOrBothNan(spec[b][i], got[b][i])) {
+          ADD_FAILURE() << what << " " << SimdLevelTag(level) << " output "
+                        << b << " element " << i << ": spec " << std::hex
+                        << FloatBits(spec[b][i]) << " got "
+                        << FloatBits(got[b][i]);
+          break;
+        }
+      }
+    }
   }
 }
 
-// Every matmul kernel and the max-over-time kernel, scalar spec against
-// AVX2, compared bitwise (EXPECT_EQ on floats would let -0 match +0).
+// The elementwise, activation, LSTM cell, optimizer and Dot kernels.
+TEST(SimdTest, KernelsBitIdenticalAcrossDispatch) {
+  if (SupportedSimdLevels().size() < 2) GTEST_SKIP() << "no vector level";
+  Rng rng(123);
+  for (const size_t n : kSimdLengths) {
+    const std::string at = " n=" + std::to_string(n);
+    const auto x = KernelInput(&rng, n, -2.0, 2.0);
+    const auto y = KernelInput(&rng, n, -2.0, 2.0);
+    const auto g = KernelInput(&rng, n, -2.0, 2.0);
+    const auto base = KernelInput(&rng, n, -2.0, 2.0);
+    ExpectSpecBits("Axpy" + at, {base}, [&](Buffers& o) {
+      nn::simd::Axpy(o[0].data(), x.data(), 1.7f, n);
+    });
+    ExpectSpecBits("AddAcc" + at, {base}, [&](Buffers& o) {
+      nn::simd::AddAcc(o[0].data(), x.data(), n);
+    });
+    ExpectSpecBits("SubAcc" + at, {base}, [&](Buffers& o) {
+      nn::simd::SubAcc(o[0].data(), x.data(), n);
+    });
+    ExpectSpecBits("Mul" + at, {base}, [&](Buffers& o) {
+      nn::simd::Mul(o[0].data(), x.data(), n);
+    });
+    ExpectSpecBits("MulAcc" + at, {base}, [&](Buffers& o) {
+      nn::simd::MulAcc(o[0].data(), x.data(), y.data(), n);
+    });
+    ExpectSpecBits("Scale" + at, {base}, [&](Buffers& o) {
+      nn::simd::Scale(o[0].data(), 0.3f, n);
+    });
+    ExpectSpecBits("Relu" + at, {base},
+                   [&](Buffers& o) { nn::simd::Relu(o[0].data(), n); });
+    ExpectSpecBits("SigmoidGradAcc" + at, {base}, [&](Buffers& o) {
+      nn::simd::SigmoidGradAcc(o[0].data(), g.data(), y.data(), n);
+    });
+    ExpectSpecBits("TanhGradAcc" + at, {base}, [&](Buffers& o) {
+      nn::simd::TanhGradAcc(o[0].data(), g.data(), y.data(), n);
+    });
+    ExpectSpecBits("ReluGradAcc" + at, {base}, [&](Buffers& o) {
+      nn::simd::ReluGradAcc(o[0].data(), g.data(), y.data(), n);
+    });
+    ExpectSpecBits("Dot" + at, {{0.0f}}, [&](Buffers& o) {
+      o[0][0] = nn::simd::Dot(x.data(), y.data(), n);
+    });
+
+    // Activations over the whole saturating range.
+    const auto pre = KernelInput(&rng, n, -60.0, 60.0);
+    ExpectSpecBits("SigmoidInPlace" + at, {pre}, [&](Buffers& o) {
+      nn::simd::SigmoidInPlace(o[0].data(), n);
+    });
+    ExpectSpecBits("TanhInPlace" + at, {pre}, [&](Buffers& o) {
+      nn::simd::TanhInPlace(o[0].data(), n);
+    });
+
+    // Cell kernels: gates as the activations leave them, cell states and
+    // incoming grads anywhere. The forward also runs in place (ci == co),
+    // as the serving step does.
+    const auto u = KernelInput(&rng, n, 0.0, 1.0);
+    const auto f = KernelInput(&rng, n, 0.0, 1.0);
+    const auto o_gate = KernelInput(&rng, n, 0.0, 1.0);
+    const auto cand = KernelInput(&rng, n, -1.0, 1.0);
+    const auto ci = KernelInput(&rng, n, -30.0, 30.0);
+    const auto co = KernelInput(&rng, n, -30.0, 30.0);
+    const std::vector<float> zeros(n, 0.0f);
+    ExpectSpecBits("LstmCellForward" + at, {zeros, zeros}, [&](Buffers& o) {
+      nn::simd::LstmCellForward(u.data(), f.data(), o_gate.data(),
+                                cand.data(), ci.data(), o[0].data(),
+                                o[1].data(), n);
+    });
+    ExpectSpecBits("LstmCellForward in place" + at, {ci, zeros},
+                   [&](Buffers& o) {
+                     nn::simd::LstmCellForward(u.data(), f.data(),
+                                               o_gate.data(), cand.data(),
+                                               o[0].data(), o[0].data(),
+                                               o[1].data(), n);
+                   });
+    ExpectSpecBits(
+        "LstmCellBackward" + at, {zeros, zeros, zeros, zeros, zeros},
+        [&](Buffers& o) {
+          nn::simd::LstmCellBackward(u.data(), f.data(), o_gate.data(),
+                                     cand.data(), co.data(), ci.data(),
+                                     x.data(), y.data(), o[0].data(),
+                                     o[1].data(), o[2].data(), o[3].data(),
+                                     o[4].data(), n);
+        });
+
+    // Optimizers: two steps, so the second reads state the first wrote.
+    const auto w = KernelInput(&rng, n, -1.0, 1.0);
+    const auto m = KernelInput(&rng, n, -0.1, 0.1);
+    const auto v = KernelInput(&rng, n, 0.0, 0.1);
+    ExpectSpecBits("SgdStep" + at, {w}, [&](Buffers& o) {
+      for (int step = 0; step < 2; ++step) {
+        nn::simd::SgdStep(o[0].data(), g.data(), 0.05f, 1e-4f, n);
+      }
+    });
+    ExpectSpecBits("AdamStep" + at, {w, m, v}, [&](Buffers& o) {
+      for (int step = 0; step < 2; ++step) {
+        nn::simd::AdamStep(o[0].data(), g.data(), o[1].data(), o[2].data(),
+                           0.9f, 0.999f, 0.1f, 0.001f, 0.01f, 1e-8f, 1e-4f,
+                           n);
+      }
+    });
+    ExpectSpecBits("AdaMaxStep" + at, {w, m, v}, [&](Buffers& o) {
+      for (int step = 0; step < 2; ++step) {
+        nn::simd::AdaMaxStep(o[0].data(), g.data(), o[1].data(),
+                             o[2].data(), 0.9f, 0.999f, 0.1f, 0.02f, 1e-8f,
+                             1e-4f, n);
+      }
+    });
+  }
+}
+
+// The matmul kernels, LstmGates and MaxOverTime: rows, k chunks and row
+// ranges at every column count of kSimdLengths.
 TEST(SimdTest, MatMulRowsBitIdenticalAcrossDispatch) {
-  if (!nn::simd::HasAvx2()) GTEST_SKIP() << "no AVX2 on this host";
-  SimdGuard guard;
+  if (SupportedSimdLevels().size() < 2) GTEST_SKIP() << "no vector level";
   Rng rng(321);
+  // Mostly ordinary values: a special in A poisons a whole row.
   auto random = [&rng](size_t size) {
-    std::vector<float> v(size);
-    for (auto& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    std::vector<float> v = KernelInput(&rng, size, -1.0, 1.0);
+    for (size_t i = 0; i < size; ++i) {
+      if (i % 13 != 0) v[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
     return v;
   };
-  // Runs `kernel` on a copy of `init` under each dispatch.
-  auto same_bits = [](const std::vector<float>& init, const std::string& what,
-                      const auto& kernel) {
-    std::vector<float> scalar = init, avx2 = init;
-    nn::simd::SetEnabled(false);
-    kernel(scalar.data());
-    nn::simd::SetEnabled(true);
-    kernel(avx2.data());
-    EXPECT_EQ(0, std::memcmp(scalar.data(), avx2.data(),
-                             init.size() * sizeof(float)))
-        << what;
-  };
-
-  // Column counts: scalar tail only (1, 7), whole 8-column groups with and
-  // without a tail (8, 21, 48), the 64-column block alone and followed by
-  // groups and a tail (64, 72, 136). m = 40 spans two GradB row tiles.
+  // m = 40 spans two GradB row tiles.
   const int m = 40, k = 37;
-  for (int n : {1, 7, 8, 21, 48, 64, 72, 136}) {
+  for (const size_t cols : kSimdLengths) {
+    const int n = static_cast<int>(cols);
     std::vector<float> A = random(m * k);
     for (size_t i = 0; i < A.size(); i += 5) A[i] = 0.0f;  // zero-skips
     const std::vector<float> B = random(k * n), G = random(m * n);
     const std::string at = " n=" + std::to_string(n);
-    same_bits(random(m * n), "MatMulRows" + at, [&](float* C) {
-      nn::simd::MatMulRows(A.data(), B.data(), C, 0, m, k, n);
+    ExpectSpecBits("MatMulRows" + at, {random(m * n)}, [&](Buffers& o) {
+      nn::simd::MatMulRows(A.data(), B.data(), o[0].data(), 0, m, k, n);
     });
-    same_bits(random(m * n), "MatMulRows rows [3, 9)" + at, [&](float* C) {
-      nn::simd::MatMulRows(A.data(), B.data(), C, 3, 9, k, n);
+    ExpectSpecBits("MatMulRows rows [3, 9)" + at, {random(m * n)},
+                   [&](Buffers& o) {
+                     nn::simd::MatMulRows(A.data(), B.data(), o[0].data(), 3,
+                                          9, k, n);
+                   });
+    ExpectSpecBits("MatMulGradBRows" + at, {random(k * n)}, [&](Buffers& o) {
+      nn::simd::MatMulGradBRows(A.data(), G.data(), o[0].data(), m, 0, k, k,
+                                n);
     });
-    same_bits(random(k * n), "MatMulGradBRows" + at, [&](float* dB) {
-      nn::simd::MatMulGradBRows(A.data(), G.data(), dB, m, 0, k, k, n);
-    });
-    same_bits(random(k * n), "MatMulGradBRows k [5, 30)" + at,
-              [&](float* dB) {
-                nn::simd::MatMulGradBRows(A.data(), G.data(), dB, m, 5, 30,
-                                          k, n);
-              });
+    ExpectSpecBits("MatMulGradBRows k [5, 30)" + at, {random(k * n)},
+                   [&](Buffers& o) {
+                     nn::simd::MatMulGradBRows(A.data(), G.data(),
+                                               o[0].data(), m, 5, 30, k, n);
+                   });
+
+    // LstmGates on 5 rows with zero-skips in x and h, all rows and a range.
+    const int rows = 5, in_dim = 7, hidden_dim = 9;
+    std::vector<float> x = random(rows * in_dim);
+    std::vector<float> h = random(rows * hidden_dim);
+    for (size_t i = 0; i < x.size(); i += 4) x[i] = 0.0f;
+    for (size_t i = 1; i < h.size(); i += 3) h[i] = 0.0f;
+    const std::vector<float> wx = random(in_dim * n);
+    const std::vector<float> wh = random(hidden_dim * n);
+    const std::vector<float> bias = random(n);
+    for (const auto& [begin, end] : {std::pair{0, rows}, {2, 4}}) {
+      ExpectSpecBits("LstmGates rows [" + std::to_string(begin) + ", " +
+                         std::to_string(end) + ")" + at,
+                     {random(rows * n)}, [&](Buffers& o) {
+                       nn::simd::LstmGates(x.data(), wx.data(), bias.data(),
+                                           h.data(), wh.data(), o[0].data(),
+                                           begin, end, in_dim, hidden_dim, n);
+                     });
+    }
   }
 
   // GradA: remainder dots only (3), one and several eight-dot passes with
-  // and without remainder dots (8, 13, 48), against lane tails only (5),
-  // none (48) and whole blocks plus a tail (131).
+  // and without remainder dots (8, 13, 48), at every column count.
   for (int kd : {3, 8, 13, 48}) {
-    for (int n : {5, 48, 131}) {
+    for (const size_t cols : kSimdLengths) {
+      const int n = static_cast<int>(cols);
       const std::vector<float> G = random(m * n), B = random(kd * n);
       const std::string at =
           " k=" + std::to_string(kd) + " n=" + std::to_string(n);
-      same_bits(random(m * kd), "MatMulGradARows" + at, [&](float* dA) {
-        nn::simd::MatMulGradARows(G.data(), B.data(), dA, 0, m, kd, n);
-      });
-      same_bits(random(m * kd), "MatMulGradARowsTo" + at, [&](float* dA) {
-        nn::simd::MatMulGradARowsTo(G.data(), B.data(), dA, 0, m, kd, n);
-      });
+      ExpectSpecBits("MatMulGradARows" + at, {random(m * kd)},
+                     [&](Buffers& o) {
+                       nn::simd::MatMulGradARows(G.data(), B.data(),
+                                                 o[0].data(), 0, m, kd, n);
+                     });
+      ExpectSpecBits("MatMulGradARowsTo" + at, {random(m * kd)},
+                     [&](Buffers& o) {
+                       nn::simd::MatMulGradARowsTo(G.data(), B.data(),
+                                                   o[0].data(), 0, m, kd, n);
+                     });
     }
   }
 
@@ -264,10 +416,14 @@ TEST(SimdTest, MatMulRowsBitIdenticalAcrossDispatch) {
   // the max in rows 2 and 5 (row 2 wins); == 1 has a NaN in row 3 and the
   // max in row 4; == 2 holds -0 in row 1, +0 in row 4 and negatives
   // elsewhere (-0 stays); == 3 starts with NaN in rows 0 and 1 (it stays).
+  // Each level must give exactly these maxima and rows.
+  SimdLevelGuard guard;
   const int rows = 7;
   const float nan = std::nanf("");
-  for (int kc : {5, 8, 21, 48}) {
-    std::vector<float> X = random(rows * kc);
+  for (const size_t cols : kSimdLengths) {
+    const int kc = static_cast<int>(cols);
+    std::vector<float> X(rows * kc);
+    for (auto& v : X) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
     for (int j = 0; j < kc; ++j) {
       auto at = [&](int i) -> float& { return X[i * kc + j]; };
       if (j % 4 == 0) at(2) = at(5) = 5.0f;
@@ -283,46 +439,43 @@ TEST(SimdTest, MatMulRowsBitIdenticalAcrossDispatch) {
       if (j % 4 == 3) at(0) = at(1) = nan;
     }
     for (int begin : {0, 1}) {
-      std::vector<float> out[2], plain[2];
-      std::vector<int> arg[2];
-      for (int path = 0; path < 2; ++path) {
-        nn::simd::SetEnabled(path == 1);
-        out[path].assign(kc, 0.0f);
-        plain[path].assign(kc, 0.0f);
-        arg[path].assign(kc, -1);
-        nn::simd::MaxOverTime(X.data(), begin, rows, kc, out[path].data(),
-                              arg[path].data());
-        nn::simd::MaxOverTime(X.data(), begin, rows, kc, plain[path].data(),
-                              nullptr);
-      }
       const std::string at =
           " k=" + std::to_string(kc) + " begin=" + std::to_string(begin);
-      for (int path = 0; path < 2; ++path) {
-        const std::string where = at + (path == 1 ? " avx2" : " scalar");
-        EXPECT_EQ(0, std::memcmp(out[path].data(), plain[path].data(),
-                                 kc * sizeof(float)))
+      // The max only copies values, so every level must give the scalar
+      // level's bytes exactly, NaN payloads included.
+      std::vector<float> spec;
+      for (const nn::simd::Level level : SupportedSimdLevels()) {
+        nn::simd::SetLevel(level);
+        std::vector<float> out(kc, 0.0f), plain(kc, 0.0f);
+        std::vector<int> arg(kc, -1);
+        nn::simd::MaxOverTime(X.data(), begin, rows, kc, out.data(),
+                              arg.data());
+        nn::simd::MaxOverTime(X.data(), begin, rows, kc, plain.data(),
+                              nullptr);
+        const std::string where = at + " " + SimdLevelTag(level);
+        if (spec.empty()) spec = out;  // the scalar level runs first
+        EXPECT_EQ(0, std::memcmp(out.data(), spec.data(), kc * sizeof(float)))
+            << "max differs from the spec" << where;
+        EXPECT_EQ(0,
+                  std::memcmp(out.data(), plain.data(), kc * sizeof(float)))
             << "argmax changes the max" << where;
         for (int j = 0; j < kc; ++j) {
-          const float v = out[path][j];
+          const float v = out[j];
           if (j % 4 == 0) {
             EXPECT_EQ(v, 5.0f) << where;
-            EXPECT_EQ(arg[path][j], 2) << "tie keeps the first row" << where;
+            EXPECT_EQ(arg[j], 2) << "tie keeps the first row" << where;
           } else if (j % 4 == 1) {
             EXPECT_EQ(v, 3.0f) << where;
-            EXPECT_EQ(arg[path][j], 4) << "NaN never wins" << where;
+            EXPECT_EQ(arg[j], 4) << "NaN never wins" << where;
           } else if (j % 4 == 2) {
             EXPECT_TRUE(v == 0.0f && std::signbit(v)) << "-0 stays" << where;
-            EXPECT_EQ(arg[path][j], 1) << where;
+            EXPECT_EQ(arg[j], 1) << where;
           } else {
             EXPECT_TRUE(std::isnan(v)) << "a first-row NaN stays" << where;
-            EXPECT_EQ(arg[path][j], begin) << where;
+            EXPECT_EQ(arg[j], begin) << where;
           }
         }
       }
-      EXPECT_EQ(0, std::memcmp(out[0].data(), out[1].data(),
-                               kc * sizeof(float)))
-          << "max" << at;
-      EXPECT_EQ(arg[0], arg[1]) << "argmax" << at;
     }
   }
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "sqlfacil/util/env.h"
 #include "sqlfacil/util/latency_histogram.h"
@@ -301,6 +304,28 @@ TEST(EnvTest, GetEnvBytesParsesSizeSuffixes) {
     EXPECT_EQ(GetEnvBytes(kName, 999), 999u) << "input '" << bad << "'";
   }
   unsetenv(kName);
+}
+
+TEST(EnvTest, SimdLevelKnob) {
+  const char* kName = "SQLFACIL_SIMD";
+  const char* saved = std::getenv(kName);
+  const std::string restore = saved != nullptr ? saved : "";
+  unsetenv(kName);
+  EXPECT_EQ(GetSimdFromEnv(), -1);  // the best level the CPU has
+  for (const auto& [value, level] : {std::pair{"0", 0}, {"1", 1}}) {
+    setenv(kName, value, 1);
+    EXPECT_EQ(GetSimdFromEnv(), level) << value;
+  }
+  // No cap above AVX2: unset already runs the best level the CPU has.
+  for (const char* bad : {"2", "3", "-1", "avx512", ""}) {
+    setenv(kName, bad, 1);
+    EXPECT_EQ(GetSimdFromEnv(), -1) << "input '" << bad << "'";
+  }
+  if (saved != nullptr) {
+    setenv(kName, restore.c_str(), 1);
+  } else {
+    unsetenv(kName);
+  }
 }
 
 TEST(EnvTest, BufferPoolPagesBareVsSuffixed) {
