@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -33,6 +34,15 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The slot of a flat open-addressing set (linear probing, 0 = empty)
+/// that holds `hash`, or the empty slot where it belongs.
+size_t ProbeSlot(const std::vector<uint64_t>& slots, uint64_t hash) {
+  const size_t mask = slots.size() - 1;
+  size_t i = hash & mask;
+  while (slots[i] != 0 && slots[i] != hash) i = (i + 1) & mask;
+  return i;
+}
+
 uint64_t HashBytes(const void* data, size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, then finalized
@@ -47,6 +57,12 @@ uint64_t HashBytes(const void* data, size_t len) {
 // int64 / double: 8 bytes little-endian. string: u16 length + raw bytes.
 // Nulls are stored as their backend defaults (0 / 0.0 / "") to match the
 // mem backend's AppendRow semantics exactly.
+
+/// A string cell as stored, by reference (no copy of the value).
+const std::string& StoredString(const Value& v) {
+  static const auto* kEmpty = new std::string();
+  return v.is_null() ? *kEmpty : v.AsString();
+}
 
 void EncodeRow(const TableSchema& schema, const std::vector<Value>& row,
                std::string* out) {
@@ -64,8 +80,7 @@ void EncodeRow(const TableSchema& schema, const std::vector<Value>& row,
         break;
       }
       case ColumnType::kString: {
-        const std::string& s =
-            row[i].is_null() ? std::string() : row[i].AsString();
+        const std::string& s = StoredString(row[i]);
         SQLFACIL_CHECK(s.size() <= 0xffff) << "string value exceeds 64KiB";
         const uint16_t len = static_cast<uint16_t>(s.size());
         out->append(reinterpret_cast<const char*>(&len), sizeof(len));
@@ -290,13 +305,13 @@ Status Table::TryAppendRow(const std::vector<Value>& row) {
 
 Status Table::AppendRowDisk(const std::vector<Value>& row) {
   if (Status s = EnsureDiskStorage(); !s.ok()) return s;
-  std::string record;
-  EncodeRow(schema_, row, &record);
-  if (Status s = heap_->Append(record.data(), record.size()); !s.ok()) {
+  EncodeRow(schema_, row, &encoded_row_);
+  if (Status s = heap_->Append(encoded_row_.data(), encoded_row_.size());
+      !s.ok()) {
     return s;
   }
   UpdateIncrementalStats(row);
-  encoded_bytes_ += record.size();
+  encoded_bytes_ += encoded_row_.size();
   ++num_rows_;
   if (wal_ != nullptr) {
     // Group commit: every wal_fsync_every rows the log tail is made
@@ -332,6 +347,7 @@ Status Table::AppendRowDisk(const std::vector<Value>& row) {
 void Table::UpdateIncrementalStats(const std::vector<Value>& row) {
   for (size_t i = 0; i < row.size(); ++i) {
     ColumnStats& s = stats_[i];
+    uint64_t hash = 0;
     switch (schema_.columns[i].type) {
       case ColumnType::kInt64: {
         const int64_t v = row[i].is_null() ? 0 : row[i].AsInt();
@@ -342,7 +358,7 @@ void Table::UpdateIncrementalStats(const std::vector<Value>& row) {
           s.min = std::min(s.min, d);
           s.max = std::max(s.max, d);
         }
-        hlls_[i].Add(Mix64(static_cast<uint64_t>(v)));
+        hash = Mix64(static_cast<uint64_t>(v));
         break;
       }
       case ColumnType::kDouble: {
@@ -355,42 +371,62 @@ void Table::UpdateIncrementalStats(const std::vector<Value>& row) {
         }
         uint64_t bits;
         std::memcpy(&bits, &d, sizeof(bits));
-        hlls_[i].Add(Mix64(bits));
+        hash = Mix64(bits);
         break;
       }
       case ColumnType::kString: {
-        const std::string& str =
-            row[i].is_null() ? std::string() : row[i].AsString();
-        hlls_[i].Add(HashBytes(str.data(), str.size()));
+        const std::string& str = StoredString(row[i]);
+        hash = HashBytes(str.data(), str.size());
         break;
       }
     }
-    s.distinct = hlls_[i].Estimate();
+    // The estimate is a function of the sketch alone, so it is recomputed
+    // only when the sketch changed.
+    if (hlls_[i].Add(hash)) s.distinct = hlls_[i].Estimate();
   }
 }
 
-void Table::Hll::Add(uint64_t hash) {
+bool Table::Hll::Add(uint64_t hash) {
+  bool changed = false;
   if (!dense) {
-    sparse.insert(hash);
-    if (sparse.size() > kSparseLimit) {
-      sparse.clear();
-      dense = true;
+    if (slots.empty()) slots.assign(16, 0);
+    size_t slot = ProbeSlot(slots, hash);
+    if (hash == 0 ? !has_zero : slots[slot] == 0) {
+      changed = true;
+      if (exact == kSparseLimit) {
+        dense = true;
+        slots = std::vector<uint64_t>();
+      } else {
+        if (2 * (exact + 1) > slots.size()) {
+          std::vector<uint64_t> grown(2 * slots.size(), 0);
+          for (uint64_t h : slots) {
+            if (h != 0) grown[ProbeSlot(grown, h)] = h;
+          }
+          slots = std::move(grown);
+          slot = ProbeSlot(slots, hash);
+        }
+        if (hash == 0) {
+          has_zero = true;
+        } else {
+          slots[slot] = hash;
+        }
+        ++exact;
+      }
     }
   }
   const size_t bucket = hash >> 56;  // top 8 bits -> 256 registers
-  const uint64_t rest = hash << 8;
-  // Rank = leading zeros of the remaining 56 bits + 1, capped.
-  uint8_t rank = 1;
-  uint64_t probe = rest;
-  while (rank < 57 && (probe & (1ull << 63)) == 0) {
-    ++rank;
-    probe <<= 1;
+  // Rank = leading zeros of the remaining 56 bits + 1, capped at 57.
+  const auto rank =
+      static_cast<uint8_t>(std::min(std::countl_zero(hash << 8), 56) + 1);
+  if (rank > registers[bucket]) {
+    registers[bucket] = rank;
+    changed = true;
   }
-  registers[bucket] = std::max(registers[bucket], rank);
+  return changed;
 }
 
 size_t Table::Hll::Estimate() const {
-  if (!dense) return sparse.size();
+  if (!dense) return exact;
   const double m = static_cast<double>(registers.size());
   const double alpha = 0.7213 / (1.0 + 1.079 / m);
   double sum = 0.0;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sqlfacil/engine/value.h"
@@ -211,15 +210,23 @@ class Table {
     std::vector<std::string> strings;
   };
 
-  /// Distinct-count sketch: exact (hash-set) up to kSparseLimit distinct
-  /// hashes, HyperLogLog beyond. Small cardinalities — where the cost
-  /// model's selectivity estimates are most sensitive — stay exact.
+  /// Distinct-count sketch: exact up to kSparseLimit distinct hashes,
+  /// HyperLogLog (256 registers, fed in both modes) beyond. Small
+  /// cardinalities — where the cost model's selectivity estimates are most
+  /// sensitive — stay exact. The exact set is flat open addressing over
+  /// `slots` (0 marks an empty slot, so hash 0 is the `has_zero` flag): 16
+  /// slots at first, doubled at load 1/2 only while under the limit, so at
+  /// most 2 * kSparseLimit slots (64 KiB), released at the switch to dense.
   struct Hll {
     static constexpr size_t kSparseLimit = 4096;
     std::array<uint8_t, 256> registers{};
-    std::unordered_set<uint64_t> sparse;
+    std::vector<uint64_t> slots;
+    size_t exact = 0;  // distinct hashes held while not dense, 0 included
+    bool has_zero = false;
     bool dense = false;
-    void Add(uint64_t hash);
+    /// Returns whether the sketch changed (a new exact hash, the switch to
+    /// dense, or a raised register); Estimate() can move only then.
+    bool Add(uint64_t hash);
     size_t Estimate() const;
   };
 
@@ -264,6 +271,7 @@ class Table {
   std::unique_ptr<storage::TableHeap> heap_;
   std::unordered_map<int, std::unique_ptr<storage::BPlusTree>> btrees_;
   std::vector<Hll> hlls_;  // per-column distinct estimators (disk)
+  std::string encoded_row_;  // AppendRowDisk's record buffer, reused per row
 
   // durable mode bookkeeping.
   int appends_since_sync_ = 0;

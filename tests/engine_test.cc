@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <array>
 #include <cmath>
+#include <iterator>
+#include <set>
+#include <string>
 
 #include "sqlfacil/engine/catalog.h"
 #include "sqlfacil/engine/cost_model.h"
@@ -633,6 +639,92 @@ TEST(DiskTableTest, StatisticsMatchMem) {
   EXPECT_DOUBLE_EQ(t.ColumnMin(0), 0.0);
   EXPECT_DOUBLE_EQ(t.ColumnMax(0), 9.0);
   EXPECT_DOUBLE_EQ(t.ColumnMax(1), 4.5);
+}
+
+TEST(DiskTableTest, DistinctSketchPinned) {
+  // Disk distinct counts price every label through the cost model, so they
+  // are pinned row by row across the sketch's switch from its exact set to
+  // HyperLogLog (at the 4097th distinct hash), and a durable reopen, which
+  // rebuilds the sketches from the heap, must read the same. id and s go
+  // dense at row 4097; k and x stay exact, and one k is the key whose
+  // 64-bit hash is 0, the flat set's empty-slot value.
+  constexpr int64_t kZeroHashKey = 0x61C8864680B583EB;  // Mix64(key) == 0
+  constexpr size_t kExactLimit = 4096;
+  struct Reading {
+    size_t rows;
+    std::array<size_t, 4> distinct;  // id, k, s, x
+  };
+  const Reading kPinned[] = {{4095, {4095, 3001, 4095, 700}},
+                             {4096, {4096, 3001, 4096, 700}},
+                             {4097, {3943, 3001, 4290, 700}},
+                             {4098, {3943, 3001, 4290, 700}},
+                             {10000, {9421, 3001, 5132, 700}},
+                             {20000, {20961, 3001, 5132, 700}}};
+  TableSchema schema;
+  schema.name = "sketch_pin";
+  schema.columns = {{"id", ColumnType::kInt64},
+                    {"k", ColumnType::kInt64},
+                    {"s", ColumnType::kString},
+                    {"x", ColumnType::kDouble}};
+  const std::string dir = ::testing::TempDir() + "sqlfacil_sketch_pin." +
+                          std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  TableOptions opts = DiskOptions();
+  opts.data_dir = dir;
+  opts.durable = true;
+  opts.recover = false;
+  {
+    Table t(schema, opts);
+    std::set<int64_t> ids, ks;
+    std::set<std::string> ss;
+    std::set<double> xs;
+    size_t next = 0;
+    for (int64_t i = 0; i < 20000; ++i) {
+      const int64_t k = i == 1000 ? kZeroHashKey : i % 3000;
+      std::string s = "v";
+      s += std::to_string(i % 5000);
+      const double x = static_cast<double>(i % 700) * 0.25;
+      t.AppendRow({Value(i), Value(k), Value(s), Value(x)});
+      ids.insert(i);
+      ks.insert(k);
+      ss.insert(s);
+      xs.insert(x);
+      if (next == std::size(kPinned) || t.num_rows() != kPinned[next].rows) {
+        continue;
+      }
+      const std::array<size_t, 4> truth = {ids.size(), ks.size(), ss.size(),
+                                           xs.size()};
+      for (int c = 0; c < 4; ++c) {
+        EXPECT_EQ(t.DistinctCount(c), kPinned[next].distinct[c])
+            << "after row " << t.num_rows() << ", column " << c;
+        if (truth[c] <= kExactLimit) {
+          EXPECT_EQ(t.DistinctCount(c), truth[c])
+              << "exact column " << c << " after row " << t.num_rows();
+        }
+      }
+      ++next;
+    }
+    ASSERT_EQ(next, std::size(kPinned));
+  }  // clean close: flush and checkpoint
+  {
+    opts.recover = true;
+    Table reopened(schema, opts);
+    ASSERT_TRUE(reopened.OpenStorage().ok());
+    ASSERT_EQ(reopened.num_rows(), 20000u);
+    for (int c = 0; c < 4; ++c) {
+      EXPECT_EQ(reopened.DistinctCount(c), kPinned[5].distinct[c])
+          << "column " << c << " after reopen";
+    }
+    // The zero-hash key seen again adds no distinct value.
+    reopened.AppendRow({Value(int64_t{20000}), Value(kZeroHashKey),
+                        Value(std::string("v0")), Value(0.0)});
+    EXPECT_EQ(reopened.DistinctCount(1), 3001u);
+  }
+  const std::string base = dir + "/sqlfacil_sketch_pin.tbl";
+  ::unlink(base.c_str());
+  ::unlink((base + ".wal").c_str());
+  ::unlink((base + ".wal.tmp").c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(DiskTableTest, BPlusTreeIndexEqualityAndRange) {

@@ -5,7 +5,9 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "sqlfacil/util/crc32.h"
 #include "sqlfacil/util/env.h"
 #include "sqlfacil/util/latency_histogram.h"
 #include "sqlfacil/util/random.h"
@@ -16,6 +18,59 @@
 
 namespace sqlfacil {
 namespace {
+
+// ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320. Shares no
+/// code with util/crc32.cc: the oracle for both of its paths.
+uint32_t BitwiseCrc32(uint32_t crc, const unsigned char* p, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReference) {
+  // Lengths below and across the 64-byte folding threshold, and around a
+  // page's 4092 checksummed bytes, at every offset within 16 bytes.
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  for (size_t len = 4080; len <= 4100; ++len) lengths.push_back(len);
+  Rng rng(20261020);
+  std::vector<unsigned char> buf(4100 + 15);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextUint64(256));
+
+  using CrcUpdate = uint32_t (*)(uint32_t, const void*, size_t);
+  const std::pair<const char*, CrcUpdate> paths[] = {
+      {"dispatched", &Crc32Update}, {"portable", &Crc32UpdatePortable}};
+  for (const auto& [name, update] : paths) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(update(0, "123456789", 9), 0xCBF43926u);
+    for (size_t len : lengths) {
+      for (size_t off = 0; off < 16; ++off) {
+        const auto init = static_cast<uint32_t>(rng.Next());
+        ASSERT_EQ(update(init, buf.data() + off, len),
+                  BitwiseCrc32(init, buf.data() + off, len))
+            << "length " << len << ", offset " << off;
+      }
+    }
+    // An incremental chain equals one pass, wherever it is split.
+    const uint32_t whole = BitwiseCrc32(0, buf.data(), 300);
+    for (size_t split = 0; split <= 300; ++split) {
+      ASSERT_EQ(update(update(0, buf.data(), split), buf.data() + split,
+                       300 - split),
+                whole)
+          << "split at " << split;
+    }
+  }
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
 
 // ---------------------------------------------------------------------------
 // Status
